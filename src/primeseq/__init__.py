@@ -7,6 +7,7 @@ accounting and a reproduction harness for the published reference data.
 from .primes import (
     PrimeTable,
     count_primes,
+    is_prime,
     pnt_estimate,
     prime_indicator,
     recommended_shift_count,
@@ -72,6 +73,7 @@ __all__ = [
     "exact_hypothesis_count",
     "format_sequence",
     "harden",
+    "is_prime",
     "off_peak_stats",
     "parse_sequence",
     "pnt_estimate",

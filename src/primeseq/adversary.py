@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .primes import PrimeTable, _trial_division_is_prime, count_primes
-from .sequences import ShiftSet, BitSequence
+from .primes import PrimeTable, count_primes, is_prime, sieve_primes
+from .sequences import BitSequence, DSequenceSpec, ShiftSet, binary_primes_sequence, d_sequence
 
 # Enumeration caps keeping the toy attack comfortably under a minute.
 ATTACK_MAX_LENGTH = 24
@@ -83,20 +83,10 @@ def _candidate_primes(n: int, table: PrimeTable) -> list[int]:
     out: list[int] = []
     q = n
     while len(out) < want:
-        if _trial_division_is_prime(q):
+        if is_prime(q):
             out.append(q)
         q += 1
     return out
-
-
-def _d_bits_packed(q: int, n: int) -> int:
-    x = 0
-    r = 1
-    for i in range(n):
-        r = (r * 2) % q
-        if r & 1:
-            x |= 1 << i
-    return x
 
 
 def brute_force_attack(
@@ -122,38 +112,27 @@ def brute_force_attack(
     if n > table.limit:
         raise ValueError(f"n={n} exceeds prime table limit {table.limit}")
 
-    mask = (1 << n) - 1
-    target = _pack(observed.bits)
-    # indicator row over positions 1..n; a right shift by a in position space
-    # is a left shift by a in packed-bit space
-    base = 0
-    for k in range(2, n + 1):
-        if table.is_prime[k]:
-            base |= 1 << (k - 1)
+    target = observed.value
+    # indicator row over positions 1..n; shifting it right by a is base >> a
+    base = binary_primes_sequence(n, ShiftSet((0,)), table).value
+    candidates = _candidate_primes(n, table)
+    # the candidates start at n, so their D-sequences need a table reaching past n
+    d_table = sieve_primes(candidates[-1])
 
     tested = 0
     matches: list[tuple[int, ShiftSet]] = []
-    for q in _candidate_primes(n, table):
-        d_packed = _d_bits_packed(q, n)
-        residual = target ^ d_packed ^ base
+    for q in candidates:
+        residual = target ^ d_sequence(DSequenceSpec(q, n), d_table).value ^ base
         for l in range(1, l_max + 1):
             for added in combinations(range(1, n), l):
                 tested += 1
                 acc = 0
                 for a in added:
-                    acc ^= (base << a) & mask
+                    acc ^= base >> a
                 if acc == residual:
                     matches.append((q, ShiftSet((0, *added))))
     matches.sort(key=lambda h: (h[0], h[1].shifts))
     return AttackResult(tuple(matches), tested, n)
-
-
-def _pack(bits: tuple[int, ...]) -> int:
-    x = 0
-    for i, b in enumerate(bits):
-        if b:
-            x |= 1 << i
-    return x
 
 
 def estimate_search_space(n: int, l_max: int = ATTACK_MAX_ADDED_SHIFTS, table: PrimeTable | None = None) -> SearchSpaceEstimate:
@@ -167,8 +146,6 @@ def estimate_search_space(n: int, l_max: int = ATTACK_MAX_ADDED_SHIFTS, table: P
     exact: int | None = None
     if n <= ATTACK_MAX_LENGTH:
         if table is None or table.limit < n:
-            from .primes import sieve_primes
-
             table = sieve_primes(max(n, 2))
         exact = exact_hypothesis_count(n, min(l_max, n - 1), table)
     return SearchSpaceEstimate(paper, consistent, exact, (n, l_max))

@@ -78,19 +78,9 @@ class AnalysisReport:
         }
 
 
-def _pack_bits(bits: tuple[int, ...]) -> int:
-    x = 0
-    for i, b in enumerate(bits):
-        if b:
-            x |= 1 << i
-    return x
-
-
-def _cyclic_lag_sums(bits: tuple[int, ...], mapping: str) -> list[int]:
+def _cyclic_lag_sums(x: int, n: int, mapping: str) -> list[int]:
     # Bit-packed fast path. Each lag sum is an exact integer, so dividing by N
     # afterwards is bit-identical to a naive double loop over mapped symbols.
-    n = len(bits)
-    x = _pack_bits(bits)
     mask = (1 << n) - 1
     sums = []
     for k in range(n):
@@ -112,7 +102,7 @@ def autocorrelation(seq: BitSequence, conv: CorrelationConvention = DEFAULT_CONV
     n = seq.length
     if n < 2:
         raise ValueError(f"sequence too short for autocorrelation: length {n}")
-    sums = _cyclic_lag_sums(seq.bits, conv.mapping)
+    sums = _cyclic_lag_sums(seq.value, n, conv.mapping)
     values = [s / n for s in sums]
     if conv.normalization == "by-peak":
         peak = values[0]
@@ -143,7 +133,7 @@ def off_peak_stats(corr: CorrelationSeries) -> tuple[float, float]:
 
 def balance(seq: BitSequence) -> float:
     """Fraction of ones; 0.5 is ideal for keystream material."""
-    return sum(seq.bits) / seq.length
+    return seq.value.bit_count() / seq.length
 
 
 def analyze(seq: BitSequence, conv: CorrelationConvention = DEFAULT_CONVENTION) -> AnalysisReport:

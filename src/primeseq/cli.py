@@ -75,6 +75,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise ValueError("gen dseq requires --q")
         length = args.len if args.len is not None else args.q
         _check_size("q", args.q)
+        _check_size("len", length)
         table = sieve_primes(max(args.q, 2))
         seq = d_sequence(DSequenceSpec(q=args.q, length=length), table)
         meta = {"kind": "dseq", "q": args.q, "n": length}
@@ -101,7 +102,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         meta = {"kind": "hardened", "q": args.q, "n": length,
                 "shifts": ",".join(str(s) for s in shifts.shifts)}
     label = " ".join(f"{k}={v}" for k, v in meta.items())
-    seq = BitSequence(seq.bits, label=label)
+    seq = BitSequence.from_int(seq.length, seq.value, label)
     _emit_sequence(seq, meta, args.out)
     return EXIT_OK
 

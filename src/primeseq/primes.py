@@ -85,8 +85,8 @@ def recommended_shift_count(n: int) -> int:
     return max(1, math.floor(0.5 * math.log(n) + 0.5))
 
 
-def _trial_division_is_prime(n: int) -> bool:
-    # Deterministic check for callers that have no table at hand (small n only).
+def is_prime(n: int) -> bool:
+    """Trial-division primality for callers with no table at hand (small n only)."""
     if n < 2:
         return False
     if n < 4:

@@ -24,7 +24,6 @@ from .sequences import (
     BitSequence,
     DSequenceSpec,
     ShiftSet,
-    _xor_of_shifted_indicators,
     binary_primes_sequence,
     d_sequence,
     harden,
@@ -89,9 +88,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
 def _run_table(target: ReproductionTarget, published, shifts: tuple[int, ...]) -> dict[str, object]:
     n = 10
     table = sieve_primes(n)
-    computed_rows = [
-        "".join(str(b) for b in _xor_of_shifted_indicators(n, (a,), table)) for a in shifts
-    ]
+    base = binary_primes_sequence(n, ShiftSet((0,)), table).value
+    computed_rows = [format(base >> a, f"0{n}b") for a in shifts]
     computed_rows.append(binary_primes_sequence(n, ShiftSet(shifts), table).to01())
 
     rows = []

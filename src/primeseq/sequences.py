@@ -1,48 +1,76 @@
 """Sequence generation: D-sequences, shifted prime-indicator sums and hardened keystreams.
 
-All sequences are finite binary strings over positions 1..N. Shifting is
-non-cyclic right shift with zero fill (a shifted row starts with zeros);
-cyclic wraparound happens only inside autocorrelation.
+All sequences are finite binary strings over positions 1..N, packed into one
+integer with position 1 as the most significant bit. Shifting is non-cyclic
+right shift with zero fill (a shifted row starts with zeros), which in the
+packed form is a plain ``>>``; cyclic wraparound happens only inside
+autocorrelation.
 """
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .primes import PrimeTable, _trial_division_is_prime
+from .primes import PrimeTable, is_prime
 
 SHIFT_STRATEGIES = ("explicit", "uniform-random", "evenly-spaced")
 
+# bytes.translate table mapping a prime-table byte to ASCII: zero to '0', nonzero to '1'
+_INDICATOR_TO01 = b"0" + b"1" * 255
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class BitSequence:
-    """A finite 0/1 sequence with a free-form provenance label."""
+    """A finite 0/1 sequence packed into ``value``, with a free-form provenance label.
 
-    bits: tuple[int, ...]
-    label: str = ""
+    Position 1 is the most significant of the ``length`` bits, so the binary
+    digits of ``value`` padded to ``length`` are the sequence itself.
+    """
 
-    def __post_init__(self) -> None:
-        bits = tuple(self.bits)
-        if len(bits) < 1:
-            raise ValueError("sequence must have at least one bit")
+    length: int
+    value: int
+    label: str
+
+    def __init__(self, bits: Iterable[int], label: str = "") -> None:
+        bits = tuple(bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError("sequence elements must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        body = "".join("1" if b else "0" for b in bits)
+        self._assign(len(body), int(body or "0", 2), label)
+
+    @classmethod
+    def from_int(cls, length: int, value: int, label: str = "") -> "BitSequence":
+        seq = cls.__new__(cls)
+        seq._assign(length, value, label)
+        return seq
+
+    def _assign(self, length: int, value: int, label: str) -> None:
+        if length < 1:
+            raise ValueError("sequence must have at least one bit")
+        if value < 0 or value >> length:
+            raise ValueError(f"value does not fit in {length} bits")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "label", label)
 
     @property
-    def length(self) -> int:
-        return len(self.bits)
+    def bits(self) -> tuple[int, ...]:
+        return tuple(map(int, self.to01()))
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
 
     def to01(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return format(self.value, f"0{self.length}b")
 
     @classmethod
     def from01(cls, text: str, label: str = "") -> "BitSequence":
-        return cls(tuple(1 if c == "1" else 0 for c in text), label)
+        bad = text.lstrip("01")
+        if bad:
+            raise ValueError(f"invalid character {bad[0]!r} in 0/1 text")
+        return cls.from_int(len(text), int(text or "0", 2), label)
 
 
 @dataclass(frozen=True)
@@ -82,7 +110,7 @@ class DSequenceSpec:
     length: int
 
     def __post_init__(self) -> None:
-        if self.q % 2 == 0 or self.q < 3 or not _trial_division_is_prime(self.q):
+        if self.q % 2 == 0 or self.q < 3 or not is_prime(self.q):
             raise ValueError(f"modulus must be an odd prime, got {self.q}")
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
@@ -91,19 +119,17 @@ class DSequenceSpec:
 def d_sequence(spec: DSequenceSpec, table: PrimeTable) -> BitSequence:
     """Parity trace of the powers of two modulo q: bit i is (2^i mod q) mod 2.
 
-    Runs i = 1..length by iterated modular doubling, one residue of state,
-    no big-integer powering. The result is periodic with period ord_q(2).
+    For odd q that parity is the i-th binary digit of 1/q, so the first
+    ``length`` bits are floor(2^length / q). The result is periodic with
+    period ord_q(2).
     """
     if spec.q > table.limit:
         raise ValueError(f"q={spec.q} exceeds prime table limit {table.limit}")
     if not table.is_prime[spec.q]:
         raise ValueError(f"modulus must be an odd prime, got {spec.q}")
-    bits = []
-    r = 1
-    for _ in range(spec.length):
-        r = (r * 2) % spec.q
-        bits.append(r & 1)
-    return BitSequence(tuple(bits), label=f"dseq(q={spec.q},len={spec.length})")
+    return BitSequence.from_int(
+        spec.length, (1 << spec.length) // spec.q, label=f"dseq(q={spec.q},len={spec.length})"
+    )
 
 
 def d_sequence_period(q: int) -> int:
@@ -111,7 +137,7 @@ def d_sequence_period(q: int) -> int:
 
     Checks divisors of q-1 in ascending order; the order always divides q-1.
     """
-    if q < 3 or q % 2 == 0 or not _trial_division_is_prime(q):
+    if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"modulus must be an odd prime, got {q}")
     for d in _sorted_divisors(q - 1):
         if pow(2, d, q) == 1:
@@ -129,16 +155,6 @@ def _sorted_divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _xor_of_shifted_indicators(n: int, offsets: tuple[int, ...], table: PrimeTable) -> list[int]:
-    # Positions 1..n; offset a contributes is_prime[k - a], zero below position a + 2.
-    flags = table.is_prime
-    out = [0] * n
-    for a in offsets:
-        for k in range(a + 2, n + 1):
-            out[k - 1] ^= flags[k - a]
-    return out
-
-
 def binary_primes_sequence(n: int, shift_set: ShiftSet, table: PrimeTable) -> BitSequence:
     """XOR of zero-fill-shifted copies of the prime indicator row over positions 1..n.
 
@@ -152,9 +168,12 @@ def binary_primes_sequence(n: int, shift_set: ShiftSet, table: PrimeTable) -> Bi
         raise ValueError(f"n={n} exceeds prime table limit {table.limit}")
     if max(shift_set.shifts) >= n:
         raise ValueError(f"shift {max(shift_set.shifts)} out of range for length {n}")
-    bits = _xor_of_shifted_indicators(n, shift_set.shifts, table)
+    row = int(table.is_prime[1 : n + 1].translate(_INDICATOR_TO01), 2)
+    value = 0
+    for a in shift_set.shifts:
+        value ^= row >> a
     shifts_text = ",".join(str(s) for s in shift_set.shifts)
-    return BitSequence(tuple(bits), label=f"bps(n={n},shifts={shifts_text})")
+    return BitSequence.from_int(n, value, label=f"bps(n={n},shifts={shifts_text})")
 
 
 def harden(pn: BitSequence, bps: BitSequence) -> BitSequence:
@@ -164,8 +183,9 @@ def harden(pn: BitSequence, bps: BitSequence) -> BitSequence:
     """
     if pn.length != bps.length:
         raise ValueError(f"length mismatch: {pn.length} != {bps.length}")
-    bits = tuple(a ^ b for a, b in zip(pn.bits, bps.bits))
-    return BitSequence(bits, label=f"hardened({pn.label or 'pn'},{bps.label or 'bps'})")
+    return BitSequence.from_int(
+        pn.length, pn.value ^ bps.value, label=f"hardened({pn.label or 'pn'},{bps.label or 'bps'})"
+    )
 
 
 def select_shifts(
@@ -227,13 +247,20 @@ _BODY_WIDTH = 64
 
 
 def format_sequence(seq: BitSequence, metadata: dict[str, object] | None = None) -> str:
-    """Render a sequence in the text format, preserving the label as metadata."""
+    """Render a sequence in the text format, preserving the label as metadata.
+
+    Raises ValueError for a metadata key or value (the label included) that
+    holds a line break, since it would spill into the body on parsing.
+    """
     lines = []
     metadata = dict(metadata or {})
     if seq.label and "label" not in metadata:
         metadata["label"] = seq.label
     for key, value in metadata.items():
-        lines.append(f"# {key}={value}")
+        line = f"# {key}={value}"
+        if line.splitlines() != [line]:
+            raise ValueError(f"metadata {key!r} contains a line break")
+        lines.append(line)
     body = seq.to01()
     for i in range(0, len(body), _BODY_WIDTH):
         lines.append(body[i : i + _BODY_WIDTH])
@@ -246,7 +273,7 @@ def parse_sequence(text: str) -> BitSequence:
     Raises ValueError naming the offending line for any body character other
     than '0' or '1'.
     """
-    bits: list[int] = []
+    body: list[str] = []
     metadata: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.startswith("#"):
@@ -255,16 +282,14 @@ def parse_sequence(text: str) -> BitSequence:
                 key, _, value = comment.partition("=")
                 metadata[key.strip()] = value
             continue
-        for ch in line:
-            if ch == "0":
-                bits.append(0)
-            elif ch == "1":
-                bits.append(1)
-            else:
-                raise ValueError(f"line {lineno}: invalid character {ch!r} in sequence body")
-    if not bits:
+        bad = line.lstrip("01")
+        if bad:
+            raise ValueError(f"line {lineno}: invalid character {bad[0]!r} in sequence body")
+        body.append(line)
+    digits = "".join(body)
+    if not digits:
         raise ValueError("no sequence data found")
     label = metadata.get("label")
     if label is None:
         label = " ".join(f"{k}={v}" for k, v in metadata.items())
-    return BitSequence(tuple(bits), label=label)
+    return BitSequence.from_int(len(digits), int(digits, 2), label=label)

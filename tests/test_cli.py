@@ -83,6 +83,12 @@ def test_gen_domain_errors(capsys):
     assert code == 3
 
 
+def test_gen_dseq_length_bound(capsys):
+    code, out, err = run_cli(capsys, "gen", "dseq", "--q", "3", "--len", "20000000")
+    assert code == 3 and out == ""
+    assert "len=20000000 exceeds supported maximum" in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "nonsense"])

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from primeseq import (
     count_primes,
+    is_prime,
     pnt_estimate,
     prime_indicator,
     recommended_shift_count,
@@ -35,6 +36,12 @@ def test_sieve_agrees_with_trial_division_to_10000():
     table = sieve_primes(10_000)
     for k in range(10_001):
         assert bool(table.is_prime[k]) == oracle_is_prime(k), k
+
+
+def test_is_prime_matches_sieve(table1000):
+    assert not is_prime(-7) and not is_prime(0) and not is_prime(1)
+    for k in range(1001):
+        assert is_prime(k) == bool(table1000.is_prime[k]), k
 
 
 def test_sieve_bitmap_edges(table1000):

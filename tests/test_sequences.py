@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from primeseq import (
     BitSequence,
+    balance,
     DSequenceSpec,
     ShiftSet,
     binary_primes_sequence,
@@ -14,7 +15,6 @@ from primeseq import (
     select_shifts,
     sieve_primes,
 )
-from primeseq.sequences import _xor_of_shifted_indicators
 from conftest import (
     oracle_bps_bits,
     oracle_d_bits,
@@ -36,6 +36,22 @@ def test_bit_sequence_validation():
     assert seq.length == 3 and len(seq) == 3
     assert seq.to01() == "011"
     assert BitSequence.from01("011") == seq
+
+
+@pytest.mark.parametrize("text", ["0a1", "", "01 ", "0b1", "0_1", "2"])
+def test_from01_rejects_non_binary_text(text):
+    with pytest.raises(ValueError):
+        BitSequence.from01(text)
+
+
+def test_from_int_range_checked():
+    assert BitSequence.from_int(4, 0b0110) == BitSequence((0, 1, 1, 0))
+    with pytest.raises(ValueError):
+        BitSequence.from_int(4, -1)
+    with pytest.raises(ValueError):
+        BitSequence.from_int(4, 1 << 4)
+    with pytest.raises(ValueError):
+        BitSequence.from_int(0, 0)
 
 
 def test_shift_set_normalizes_and_validates():
@@ -161,24 +177,30 @@ def test_bps_errors(table1000):
 )
 @settings(max_examples=60)
 def test_bps_gf2_linearity(data, n):
+    # B over a union of disjoint offset sets is the XOR of B over each part;
+    # the mandatory offset 0 sits in both parts, so its row cancels there
     table = sieve_primes(128)
     offsets = data.draw(
-        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=6, unique=True)
+        st.lists(st.integers(min_value=1, max_value=n - 1), min_size=2, max_size=6, unique=True)
     )
     split = data.draw(st.integers(min_value=1, max_value=len(offsets) - 1))
-    s1, s2 = tuple(offsets[:split]), tuple(offsets[split:])
-    combined = _xor_of_shifted_indicators(n, tuple(offsets), table)
-    left = _xor_of_shifted_indicators(n, s1, table)
-    right = _xor_of_shifted_indicators(n, s2, table)
-    assert combined == [a ^ b for a, b in zip(left, right)]
+    s1, s2 = offsets[:split], offsets[split:]
+    combined = binary_primes_sequence(n, ShiftSet((0, *offsets)), table)
+    left = binary_primes_sequence(n, ShiftSet((0, *s1)), table)
+    right = binary_primes_sequence(n, ShiftSet((0, *s2)), table)
+    base = binary_primes_sequence(n, ShiftSet((0,)), table)
+    assert combined.value == left.value ^ right.value ^ base.value
 
 
 def test_bps_zero_fill_prefix(table1000):
     # a row shifted by s is zero through position s + 1 (nothing below the
-    # first prime at position 2 can contribute)
+    # first prime at position 2 can contribute): B over (0, s) agrees with the
+    # unshifted row there
+    base = binary_primes_sequence(50, ShiftSet((0,)), table1000).bits
     for s in (1, 3, 7):
-        row = _xor_of_shifted_indicators(50, (s,), table1000)
-        assert all(v == 0 for v in row[: s + 1])
+        row = binary_primes_sequence(50, ShiftSet((0, s)), table1000).bits
+        assert row[: s + 1] == base[: s + 1]
+        assert row[s + 1] != base[s + 1]
 
 
 @given(data=st.data())
@@ -303,6 +325,12 @@ def test_parse_error_names_line():
         parse_sequence("# n=4\n0101\n01x1\n")
 
 
+@pytest.mark.parametrize("body", ["0b0101", "01_01", " 0101", "0101 ", "+0101"])
+def test_parse_rejects_int_literal_syntax(body):
+    with pytest.raises(ValueError, match="line 2: invalid character"):
+        parse_sequence(f"# n=4\n{body}\n")
+
+
 def test_parse_empty_body():
     with pytest.raises(ValueError, match="no sequence data"):
         parse_sequence("# n=4\n")
@@ -319,3 +347,40 @@ label_st = st.text(
 def test_round_trip_property(bits, label):
     seq = BitSequence(bits, label=label.strip())
     assert parse_sequence(format_sequence(seq)) == seq
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
+def test_format_rejects_line_breaks_in_metadata(brk):
+    with pytest.raises(ValueError, match="line break"):
+        format_sequence(BitSequence((1,), label=f"x{brk}0110"))
+    with pytest.raises(ValueError, match="line break"):
+        format_sequence(BitSequence((1,)), {f"k{brk}": 1})
+    with pytest.raises(ValueError, match="line break"):
+        format_sequence(BitSequence((1,)), {"k": f"v{brk}"})
+
+
+# --- packed paths at a size spanning many int digits ---------------------------
+
+N_LARGE = 10007
+
+
+@pytest.fixture(scope="module")
+def table_large():
+    return sieve_primes(N_LARGE)
+
+
+def test_d_sequence_large_matches_oracle(table_large):
+    seq = d_sequence(DSequenceSpec(q=N_LARGE, length=N_LARGE), table_large)
+    assert list(seq.bits) == oracle_d_bits(N_LARGE, N_LARGE)
+
+
+def test_large_sequence_paths_match_oracle(table_large):
+    shift_set = select_shifts(N_LARGE, 7, "uniform-random", seed=3)
+    bps = binary_primes_sequence(N_LARGE, shift_set, table_large)
+    assert list(bps.bits) == oracle_bps_bits(N_LARGE, shift_set.shifts, set(oracle_primes_upto(N_LARGE)))
+    pn = d_sequence(DSequenceSpec(q=N_LARGE, length=N_LARGE), table_large)
+    hardened = harden(pn, bps)
+    assert hardened.bits == tuple(a ^ b for a, b in zip(pn.bits, bps.bits))
+    assert harden(hardened, bps).bits == pn.bits
+    assert parse_sequence(format_sequence(hardened)) == hardened
+    assert balance(hardened) == sum(hardened.bits) / N_LARGE
