@@ -8,7 +8,7 @@ divided by the sequence length, which pins the lag-0 peak at exactly 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .sequences import BitSequence
 
@@ -64,8 +64,12 @@ class AnalysisReport:
     max_offpeak: float
     mean_offpeak: float
     ones_fraction: float
-    convention: CorrelationConvention
+    correlation: CorrelationSeries = field(repr=False)
     sequence_label: str
+
+    @property
+    def convention(self) -> CorrelationConvention:
+        return self.correlation.convention
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -78,19 +82,11 @@ class AnalysisReport:
         }
 
 
-def _cyclic_lag_sums(x: int, n: int, mapping: str) -> list[int]:
-    # Bit-packed fast path. Each lag sum is an exact integer, so dividing by N
-    # afterwards is bit-identical to a naive double loop over mapped symbols.
-    mask = (1 << n) - 1
-    sums = []
-    for k in range(n):
-        rotated = ((x >> k) | (x << (n - k))) & mask
-        if mapping == "bipolar":
-            # product sum over -1/+1 symbols: agreements minus disagreements
-            sums.append(n - 2 * (x ^ rotated).bit_count())
-        else:
-            sums.append((x & rotated).bit_count())
-    return sums
+def _cyclic_lag_sums(x: int, n: int) -> list[int]:
+    # Bit-packed 0/1 lag sums S_k = popcount(x & rot_k(x)); S_0 is the number
+    # of ones. x has n bits, so the AND drops the high half of the doubled word.
+    doubled = x | (x << n)
+    return [(x & (doubled >> k)).bit_count() for k in range(n)]
 
 
 def autocorrelation(seq: BitSequence, conv: CorrelationConvention = DEFAULT_CONVENTION) -> CorrelationSeries:
@@ -102,7 +98,12 @@ def autocorrelation(seq: BitSequence, conv: CorrelationConvention = DEFAULT_CONV
     n = seq.length
     if n < 2:
         raise ValueError(f"sequence too short for autocorrelation: length {n}")
-    sums = _cyclic_lag_sums(seq.value, n, conv.mapping)
+    sums = _cyclic_lag_sums(seq.value, n)
+    if conv.mapping == "bipolar":
+        # -1/+1 symbols: agreements minus disagreements, n - 4m + 4*S_k for m ones
+        base = n - 4 * sums[0]
+        sums = [base + 4 * s for s in sums]
+    # exact integers divided once, bit-identical to a double loop over symbols
     values = [s / n for s in sums]
     if conv.normalization == "by-peak":
         peak = values[0]
@@ -145,6 +146,6 @@ def analyze(seq: BitSequence, conv: CorrelationConvention = DEFAULT_CONVENTION) 
         max_offpeak=max_off,
         mean_offpeak=mean_off,
         ones_fraction=balance(seq),
-        convention=conv,
+        correlation=corr,
         sequence_label=seq.label,
     )

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .adversary import brute_force_attack, estimate_search_space
-from .analysis import CorrelationConvention, analyze, autocorrelation
+from .analysis import CorrelationConvention, analyze
 from .primes import DEFAULT_SIEVE_LIMIT, recommended_shift_count, sieve_primes
 from .reproduce import TARGET_IDS, make_target, run_target
 from .sequences import (
@@ -113,10 +113,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze(seq, conv)
     print(json.dumps(report.as_dict()))
     if args.out is not None:
-        corr = autocorrelation(seq, conv)
         with open(args.out, "w") as fh:
             fh.write("lag,c\n")
-            for lag, value in enumerate(corr.values):
+            for lag, value in enumerate(report.correlation.values):
                 fh.write(f"{lag},{format(value, '.10g')}\n")
     return EXIT_OK
 

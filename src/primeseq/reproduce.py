@@ -1,19 +1,22 @@
 """Reproduction harness for the published reference tables and figures.
 
-Each target regenerates one published item from its recorded parameters,
-writes a CSV trace and returns a summary dict. Published cell values are
-hard-coded so mismatches between regenerated and printed data are flagged
-rather than silently absorbed.
+Each target regenerates one published item from the parameters its runner
+fixes, writes a CSV trace and returns a summary dict. Published cell values
+are hard-coded so mismatches between regenerated and printed data are
+flagged rather than silently absorbed.
 """
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
 from .analysis import (
     DEFAULT_CONVENTION,
+    CorrelationSeries,
     all_conventions,
     autocorrelation,
     off_peak_stats,
@@ -58,7 +61,6 @@ FIG6_PRIME_RANGE = (40, 650)
 @dataclass(frozen=True)
 class ReproductionTarget:
     id: str
-    parameters: tuple[tuple[str, object], ...]
     output_path: Path
 
 
@@ -66,7 +68,7 @@ def make_target(target_id: str, output_path: str | Path | None = None) -> Reprod
     if target_id not in TARGET_IDS:
         raise ValueError(f"unknown target {target_id!r}, expected one of {TARGET_IDS}")
     path = Path(output_path) if output_path is not None else Path(f"{target_id}.csv")
-    return ReproductionTarget(target_id, _PARAMETERS[target_id], path)
+    return ReproductionTarget(target_id, path)
 
 
 def run_target(target: ReproductionTarget) -> dict[str, object]:
@@ -132,14 +134,6 @@ def _run_table(target: ReproductionTarget, published, shifts: tuple[int, ...]) -
     }
 
 
-def _run_table1(target: ReproductionTarget) -> dict[str, object]:
-    return _run_table(target, TABLE1_PUBLISHED, (0, 1))
-
-
-def _run_table2(target: ReproductionTarget) -> dict[str, object]:
-    return _run_table(target, TABLE2_PUBLISHED, (0, 1, 2))
-
-
 def _fig1_lengths() -> list[int]:
     # geometric sample of 2..10^6, dense enough to plot the step curve
     lengths = {round(2 * (500_000 ** (k / 179))) for k in range(180)}
@@ -158,8 +152,7 @@ def _run_fig1(target: ReproductionTarget) -> dict[str, object]:
     }
 
 
-def _correlation_rows(seq: BitSequence) -> list[list[object]]:
-    corr = autocorrelation(seq, DEFAULT_CONVENTION)
+def _correlation_rows(corr: CorrelationSeries) -> list[list[object]]:
     return [[lag, _fmt(v)] for lag, v in enumerate(corr.values)]
 
 
@@ -184,7 +177,8 @@ def _run_fig2(target: ReproductionTarget) -> dict[str, object]:
     n, shifts = 997, (0, 11, 77, 111)
     table = sieve_primes(n)
     seq = binary_primes_sequence(n, ShiftSet(shifts), table)
-    _write_csv(target.output_path, ["lag", "c"], _correlation_rows(seq))
+    corr = autocorrelation(seq, DEFAULT_CONVENTION)
+    _write_csv(target.output_path, ["lag", "c"], _correlation_rows(corr))
     return {
         "target": "fig2",
         "n": n,
@@ -233,17 +227,13 @@ def _run_fig3(target: ReproductionTarget) -> dict[str, object]:
     }
 
 
-def _hardened_pair(q: int, shifts: tuple[int, ...]) -> tuple[BitSequence, BitSequence]:
+def _run_hardened_fig(target: ReproductionTarget, q: int, shifts: tuple[int, ...]) -> dict[str, object]:
     table = sieve_primes(q)
     pn = d_sequence(DSequenceSpec(q=q, length=q), table)
     bps = binary_primes_sequence(q, ShiftSet(shifts), table)
-    return pn, harden(pn, bps)
-
-
-def _run_hardened_fig(target: ReproductionTarget, q: int, shifts: tuple[int, ...]) -> dict[str, object]:
-    pn, hardened = _hardened_pair(q, shifts)
-    _write_csv(target.output_path, ["lag", "c"], _correlation_rows(hardened))
-    max_p, mean_p = off_peak_stats(autocorrelation(hardened, DEFAULT_CONVENTION))
+    hardened_corr = autocorrelation(harden(pn, bps), DEFAULT_CONVENTION)
+    _write_csv(target.output_path, ["lag", "c"], _correlation_rows(hardened_corr))
+    max_p, mean_p = off_peak_stats(hardened_corr)
     max_d, mean_d = off_peak_stats(autocorrelation(pn, DEFAULT_CONVENTION))
     return {
         "target": target.id,
@@ -256,14 +246,6 @@ def _run_hardened_fig(target: ReproductionTarget, q: int, shifts: tuple[int, ...
         "max_offpeak_dseq": max_d,
         "output": str(target.output_path),
     }
-
-
-def _run_fig4(target: ReproductionTarget) -> dict[str, object]:
-    return _run_hardened_fig(target, 199, (0, 7, 11, 22))
-
-
-def _run_fig5(target: ReproductionTarget) -> dict[str, object]:
-    return _run_hardened_fig(target, 997, (0, 11, 77, 111))
 
 
 def _run_fig6(target: ReproductionTarget) -> dict[str, object]:
@@ -284,15 +266,18 @@ def _run_fig6(target: ReproductionTarget) -> dict[str, object]:
         ["prime", "mean_offpeak_b", "mean_offpeak_p", "shifts"],
         rows,
     )
-    first_p, last_p = float(rows[0][2]), float(rows[-1][2])
-    decreasing = last_p < first_p
+    hardened_means = [float(r[2]) for r in rows]
+    # sign of the least-squares slope over every prime, sum((p - mean p) * y),
+    # so no single endpoint decides the verdict
+    p_mean = sum(primes) / len(primes)
+    decreasing = math.fsum((p - p_mean) * y for p, y in zip(primes, hardened_means)) < 0
     return {
         "target": "fig6",
         "primes": len(rows),
         "first_prime": primes[0],
         "last_prime": primes[-1],
-        "mean_offpeak_hardened_first": first_p,
-        "mean_offpeak_hardened_last": last_p,
+        "mean_offpeak_hardened_first": hardened_means[0],
+        "mean_offpeak_hardened_last": hardened_means[-1],
         "mean_offpeak_b_first": float(rows[0][1]),
         "mean_offpeak_b_last": float(rows[-1][1]),
         "trend": "off-peak decreases with p" if decreasing else "off-peak does not decrease with p",
@@ -300,24 +285,13 @@ def _run_fig6(target: ReproductionTarget) -> dict[str, object]:
     }
 
 
-_PARAMETERS: dict[str, tuple[tuple[str, object], ...]] = {
-    "table1": (("n", 10), ("shifts", (0, 1))),
-    "table2": (("n", 10), ("shifts", (0, 1, 2))),
-    "fig1": (("n_min", 2), ("n_max", 1_000_000)),
-    "fig2": (("n", 997), ("shifts", (0, 11, 77, 111))),
-    "fig3": (("primes", FIG3_SWEEP_PRIMES), ("shifts", FIG3_SHIFTS)),
-    "fig4": (("q", 199), ("shifts", (0, 7, 11, 22))),
-    "fig5": (("q", 997), ("shifts", (0, 11, 77, 111))),
-    "fig6": (("prime_range", FIG6_PRIME_RANGE),),
-}
-
 _RUNNERS: dict[str, Callable[[ReproductionTarget], dict[str, object]]] = {
-    "table1": _run_table1,
-    "table2": _run_table2,
+    "table1": partial(_run_table, published=TABLE1_PUBLISHED, shifts=(0, 1)),
+    "table2": partial(_run_table, published=TABLE2_PUBLISHED, shifts=(0, 1, 2)),
     "fig1": _run_fig1,
     "fig2": _run_fig2,
     "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
+    "fig4": partial(_run_hardened_fig, q=199, shifts=(0, 7, 11, 22)),
+    "fig5": partial(_run_hardened_fig, q=997, shifts=(0, 11, 77, 111)),
     "fig6": _run_fig6,
 }

@@ -7,14 +7,18 @@ from primeseq import (
     BitSequence,
     CorrelationConvention,
     DEFAULT_CONVENTION,
+    DSequenceSpec,
     ShiftSet,
     all_conventions,
     analyze,
     autocorrelation,
     balance,
     binary_primes_sequence,
+    d_sequence,
+    harden,
     off_peak_stats,
     randomness_measure,
+    sieve_primes,
 )
 from conftest import (
     oracle_autocorrelation,
@@ -23,6 +27,17 @@ from conftest import (
 )
 
 bits_st = st.lists(st.sampled_from((0, 1)), min_size=2, max_size=64).map(tuple)
+
+
+def _hardened_bits(q, shifts):
+    table = sieve_primes(q)
+    pn = d_sequence(DSequenceSpec(q=q, length=q), table)
+    return harden(pn, binary_primes_sequence(q, ShiftSet(shifts), table)).bits
+
+
+# a length the kernel runs at in the reproduce targets and the CLI, far past
+# the 64-bit Hypothesis strategy
+HARDENED_1009 = _hardened_bits(1009, (0, 11, 77, 111))
 
 
 def test_convention_validation():
@@ -67,15 +82,25 @@ def test_by_peak_zero_peak_rejected():
     assert corr.values[0] == 1.0
 
 
-@given(bits=bits_st)
-@settings(max_examples=150)
-def test_fast_path_is_bit_identical_to_double_loop(bits):
+def _assert_all_conventions_match_oracle(bits):
     for conv in all_conventions():
-        if conv.normalization == "by-peak" and conv.mapping == "raw01":
-            assume(any(bits))
+        if conv.normalization == "by-peak" and conv.mapping == "raw01" and not any(bits):
+            continue  # zero peak, refused: see test_by_peak_zero_peak_rejected
         corr = autocorrelation(BitSequence(bits), conv)
         oracle = oracle_autocorrelation(bits, conv.mapping, conv.normalization)
         assert list(corr.values) == oracle
+
+
+@given(bits=bits_st)
+@settings(max_examples=150)
+def test_fast_path_is_bit_identical_to_double_loop(bits):
+    _assert_all_conventions_match_oracle(bits)
+
+
+def test_fast_path_is_bit_identical_to_double_loop_at_1009():
+    # the double loop over 1009 bits takes longer than Hypothesis's deadline,
+    # so this length runs outside @given
+    _assert_all_conventions_match_oracle(HARDENED_1009)
 
 
 @given(bits=bits_st)

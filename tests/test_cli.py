@@ -2,10 +2,19 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from primeseq import parse_sequence
+import primeseq
+from primeseq import (
+    CorrelationConvention,
+    all_conventions,
+    autocorrelation,
+    off_peak_stats,
+    parse_sequence,
+    reproduce,
+)
 from primeseq.cli import main
 
 
@@ -123,14 +132,25 @@ def test_analyze_all_ones(tmp_path, capsys):
     assert report["ones_fraction"] == 1.0
 
 
-def test_analyze_convention_flags(tmp_path, capsys):
-    path = tmp_path / "seq.txt"
-    path.write_text("0110101000\n")
+@pytest.mark.parametrize(
+    "mapping, normalization", [(c.mapping, c.normalization) for c in all_conventions()]
+)
+def test_analyze_convention_flags(tmp_path, capsys, mapping, normalization):
+    seq_path, csv_path = tmp_path / "seq.txt", tmp_path / "corr.csv"
+    run_cli(capsys, "gen", "hardened", "--q", "199", "--shifts", "0,7,11,22", "--out", str(seq_path))
     code, out, _ = run_cli(
-        capsys, "analyze", str(path), "--convention", "raw01", "--normalize", "by-peak"
+        capsys, "analyze", str(seq_path), "--convention", mapping, "--normalize", normalization,
+        "--out", str(csv_path),
     )
     assert code == 0
-    assert json.loads(out)["convention"] == {"mapping": "raw01", "normalization": "by-peak"}
+    report = json.loads(out)
+    assert report["convention"] == {"mapping": mapping, "normalization": normalization}
+    series = autocorrelation(
+        parse_sequence(seq_path.read_text()), CorrelationConvention(mapping, normalization)
+    )
+    expected = ["lag,c"] + [f"{lag},{format(v, '.10g')}" for lag, v in enumerate(series.values)]
+    assert csv_path.read_text().splitlines() == expected
+    assert (report["max_offpeak"], report["mean_offpeak"]) == off_peak_stats(series)
 
 
 def test_analyze_malformed_file(tmp_path, capsys):
@@ -252,12 +272,22 @@ def test_reproduce_fig2_reports_offpeak_deltas(tmp_path, capsys):
     assert len(summary["offpeak_by_convention"]) == 4
 
 
-def test_reproduce_fig6_trend(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "prime_range, first, last",
+    [
+        pytest.param((40, 650), 41, 647, id="40-650"),
+        # the last hardened mean (0.0610) is above the first (0.0545), yet the
+        # least-squares slope over all 73 primes is negative
+        pytest.param((160, 601), 163, 601, id="160-601"),
+    ],
+)
+def test_reproduce_fig6_trend(tmp_path, capsys, monkeypatch, prime_range, first, last):
+    monkeypatch.setattr(reproduce, "FIG6_PRIME_RANGE", prime_range)
     code, out, _ = run_cli(capsys, "reproduce", "--fig", "fig6",
                            "--out", str(tmp_path / "fig6.csv"))
     summary = json.loads(out)
-    assert summary["first_prime"] == 41
-    assert summary["last_prime"] == 647
+    assert summary["first_prime"] == first
+    assert summary["last_prime"] == last
     assert summary["trend"] == "off-peak decreases with p"
 
 
@@ -278,6 +308,9 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "primeseq", "complexity", "--n", "10"],
         capture_output=True, text=True,
+        # `-m` puts the working directory first on sys.path, so the child
+        # imports the same package as the tests, installed or not
+        cwd=Path(primeseq.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert "log10_paper_formula" in proc.stdout
