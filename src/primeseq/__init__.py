@@ -9,7 +9,6 @@ from .primes import (
     count_primes,
     is_prime,
     pnt_estimate,
-    prime_indicator,
     recommended_shift_count,
     sieve_primes,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "off_peak_stats",
     "parse_sequence",
     "pnt_estimate",
-    "prime_indicator",
     "randomness_measure",
     "recommended_shift_count",
     "search_space_log10_consistent",

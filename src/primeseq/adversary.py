@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .primes import PrimeTable, count_primes, is_prime, sieve_primes
+from .primes import count_primes, is_prime
 from .sequences import BitSequence, DSequenceSpec, ShiftSet, binary_primes_sequence, d_sequence
 
 # Enumeration caps keeping the toy attack comfortably under a minute.
@@ -60,7 +60,7 @@ def search_space_log10_consistent(n: int) -> float:
     return math.log10(n / 2.0) + 0.5 * math.log(n) * math.log10(n)
 
 
-def exact_hypothesis_count(n: int, l_max: int, table: PrimeTable) -> int:
+def exact_hypothesis_count(n: int, l_max: int) -> int:
     """Exact size of the (prime, added-shift-set) hypothesis space.
 
     pi(n) prime choices times the number of ways to pick 1..l_max distinct
@@ -70,16 +70,16 @@ def exact_hypothesis_count(n: int, l_max: int, table: PrimeTable) -> int:
         raise ValueError(f"n must be >= 3, got {n}")
     if not 1 <= l_max <= n - 1:
         raise ValueError(f"l_max must be in 1..{n - 1}, got {l_max}")
-    prime_choices = count_primes(n, table)
+    prime_choices = count_primes(n)
     shift_choices = sum(math.comb(n - 1, l) for l in range(1, l_max + 1))
     return prime_choices * shift_choices
 
 
-def _candidate_primes(n: int, table: PrimeTable) -> list[int]:
+def _candidate_primes(n: int) -> list[int]:
     # The number of candidates is pi(n); their identities start at the
     # smallest prime >= n, since a D-sequence modulus below its own emitted
     # length would repeat inside the window.
-    want = count_primes(n, table)
+    want = count_primes(n)
     out: list[int] = []
     q = n
     while len(out) < want:
@@ -89,17 +89,15 @@ def _candidate_primes(n: int, table: PrimeTable) -> list[int]:
     return out
 
 
-def brute_force_attack(
-    observed: BitSequence, n: int, l_max: int, table: PrimeTable
-) -> AttackResult:
+def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
     """Enumerate every (q, shift set) hypothesis and return those that regenerate observed.
 
     A hypothesis regenerates by XORing the shifted-indicator sum with the
     candidate D-sequence; matching is bit exact. Output is ordered by q then
-    by shifts regardless of enumeration order.
+    by shifts regardless of enumeration order. The size caps are checked
+    before any primes are sieved.
     """
-    if n != observed.length:
-        raise ValueError(f"n={n} must equal the observed length {observed.length}")
+    n = observed.length
     if n > ATTACK_MAX_LENGTH or l_max > ATTACK_MAX_ADDED_SHIFTS:
         raise ValueError(
             f"instance too large: enforced bounds are n <= {ATTACK_MAX_LENGTH} "
@@ -109,20 +107,15 @@ def brute_force_attack(
         raise ValueError(f"n must be >= 3, got {n}")
     if not 1 <= l_max <= n - 1:
         raise ValueError(f"l_max must be in 1..{n - 1}, got {l_max}")
-    if n > table.limit:
-        raise ValueError(f"n={n} exceeds prime table limit {table.limit}")
 
     target = observed.value
     # indicator row over positions 1..n; shifting it right by a is base >> a
-    base = binary_primes_sequence(n, ShiftSet((0,)), table).value
-    candidates = _candidate_primes(n, table)
-    # the candidates start at n, so their D-sequences need a table reaching past n
-    d_table = sieve_primes(candidates[-1])
+    base = binary_primes_sequence(n, ShiftSet((0,))).value
 
     tested = 0
     matches: list[tuple[int, ShiftSet]] = []
-    for q in candidates:
-        residual = target ^ d_sequence(DSequenceSpec(q, n), d_table).value ^ base
+    for q in _candidate_primes(n):
+        residual = target ^ d_sequence(DSequenceSpec(q, n)).value ^ base
         for l in range(1, l_max + 1):
             for added in combinations(range(1, n), l):
                 tested += 1
@@ -135,7 +128,7 @@ def brute_force_attack(
     return AttackResult(tuple(matches), tested, n)
 
 
-def estimate_search_space(n: int, l_max: int = ATTACK_MAX_ADDED_SHIFTS, table: PrimeTable | None = None) -> SearchSpaceEstimate:
+def estimate_search_space(n: int, l_max: int = ATTACK_MAX_ADDED_SHIFTS) -> SearchSpaceEstimate:
     """Assemble both log-domain figures plus the exact count where tractable.
 
     The exact count is attached only for n small enough that the toy attack
@@ -145,7 +138,5 @@ def estimate_search_space(n: int, l_max: int = ATTACK_MAX_ADDED_SHIFTS, table: P
     consistent = search_space_log10_consistent(n)
     exact: int | None = None
     if n <= ATTACK_MAX_LENGTH:
-        if table is None or table.limit < n:
-            table = sieve_primes(max(n, 2))
-        exact = exact_hypothesis_count(n, min(l_max, n - 1), table)
+        exact = exact_hypothesis_count(n, min(l_max, n - 1))
     return SearchSpaceEstimate(paper, consistent, exact, (n, l_max))

@@ -14,6 +14,9 @@ from .sequences import BitSequence
 
 MAPPINGS = ("raw01", "bipolar")
 NORMALIZATIONS = ("by-n", "by-peak")
+# Longest sequence autocorrelation accepts: the O(n^2/64) lag-sum kernel takes
+# about 15 s at this length on a 2-vCPU Xeon, and hours at the sieve's 2^24.
+ANALYSIS_MAX_LENGTH = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,10 @@ def autocorrelation(seq: BitSequence, conv: CorrelationConvention = DEFAULT_CONV
     n = seq.length
     if n < 2:
         raise ValueError(f"sequence too short for autocorrelation: length {n}")
+    if n > ANALYSIS_MAX_LENGTH:
+        raise ValueError(
+            f"sequence too long for autocorrelation: length {n} exceeds maximum {ANALYSIS_MAX_LENGTH}"
+        )
     sums = _cyclic_lag_sums(seq.value, n)
     if conv.mapping == "bipolar":
         # -1/+1 symbols: agreements minus disagreements, n - 4m + 4*S_k for m ones

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .adversary import brute_force_attack, estimate_search_space
 from .analysis import CorrelationConvention, analyze
-from .primes import DEFAULT_SIEVE_LIMIT, recommended_shift_count, sieve_primes
+from .primes import DEFAULT_SIEVE_LIMIT, recommended_shift_count
 from .reproduce import TARGET_IDS, make_target, run_target
 from .sequences import (
     BitSequence,
@@ -74,18 +74,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.q is None:
             raise ValueError("gen dseq requires --q")
         length = args.len if args.len is not None else args.q
+        # q is never sieved; its cap bounds the trial division in DSequenceSpec
         _check_size("q", args.q)
         _check_size("len", length)
-        table = sieve_primes(max(args.q, 2))
-        seq = d_sequence(DSequenceSpec(q=args.q, length=length), table)
+        seq = d_sequence(DSequenceSpec(q=args.q, length=length))
         meta = {"kind": "dseq", "q": args.q, "n": length}
     elif args.kind == "bps":
         if args.n is None:
             raise ValueError("gen bps requires --n")
         _check_size("n", args.n)
         shifts = _resolve_shifts(args.n, args.shifts, args.seed)
-        table = sieve_primes(args.n)
-        seq = binary_primes_sequence(args.n, shifts, table)
+        seq = binary_primes_sequence(args.n, shifts)
         meta = {"kind": "bps", "n": args.n,
                 "shifts": ",".join(str(s) for s in shifts.shifts)}
     else:  # hardened
@@ -95,9 +94,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         _check_size("q", args.q)
         _check_size("len", length)
         shifts = _resolve_shifts(length, args.shifts, args.seed)
-        table = sieve_primes(max(args.q, length, 2))
-        pn = d_sequence(DSequenceSpec(q=args.q, length=length), table)
-        bps = binary_primes_sequence(length, shifts, table)
+        pn = d_sequence(DSequenceSpec(q=args.q, length=length))
+        bps = binary_primes_sequence(length, shifts)
         seq = harden(pn, bps)
         meta = {"kind": "hardened", "q": args.q, "n": length,
                 "shifts": ",".join(str(s) for s in shifts.shifts)}
@@ -140,9 +138,7 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    seq = _read_sequence(args.input)
-    table = sieve_primes(max(seq.length, 2))
-    result = brute_force_attack(seq, seq.length, args.l_max, table)
+    result = brute_force_attack(_read_sequence(args.input), args.l_max)
     print(json.dumps(result.as_dict()))
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Primality infrastructure: sieve bitmap, prime indicator, counting and the shifter-count rule.
+"""Primality infrastructure: sieve bitmap, counting and the shifter-count rule.
 
 The prime-counting story intentionally has two faces: ``count_primes`` is the
 exact count from the sieve, ``pnt_estimate`` is the asymptotic n/ln(n)
@@ -45,26 +45,11 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, is_prime=bytes(flags))
 
 
-def prime_indicator(k: int, table: PrimeTable) -> int:
-    """1 if position k holds a prime, else 0.
-
-    Non-positive k (and k=1) carry no prime and return 0; this is what makes
-    zero-filled shifting of the indicator row well defined.
-    """
-    if k > table.limit:
-        raise ValueError(f"k={k} out of range for table limit {table.limit}")
-    if k < 2:
-        return 0
-    return table.is_prime[k]
-
-
-def count_primes(n: int, table: PrimeTable) -> int:
-    """Exact number of primes <= n."""
+def count_primes(n: int) -> int:
+    """Exact number of primes <= n, sieved to n."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n > table.limit:
-        raise ValueError(f"n={n} out of range for table limit {table.limit}")
-    return sum(table.is_prime[2 : n + 1])
+    return sum(sieve_primes(max(n, 2)).is_prime[2 : n + 1])
 
 
 def pnt_estimate(n: int) -> float:
@@ -86,7 +71,7 @@ def recommended_shift_count(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality for callers with no table at hand (small n only)."""
+    """Trial-division primality of one number, such as a D-sequence modulus (small n only)."""
     if n < 2:
         return False
     if n < 4:

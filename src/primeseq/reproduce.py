@@ -89,10 +89,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
 
 def _run_table(target: ReproductionTarget, published, shifts: tuple[int, ...]) -> dict[str, object]:
     n = 10
-    table = sieve_primes(n)
-    base = binary_primes_sequence(n, ShiftSet((0,)), table).value
+    base = binary_primes_sequence(n, ShiftSet((0,))).value
     computed_rows = [format(base >> a, f"0{n}b") for a in shifts]
-    computed_rows.append(binary_primes_sequence(n, ShiftSet(shifts), table).to01())
+    computed_rows.append(binary_primes_sequence(n, ShiftSet(shifts)).to01())
 
     rows = []
     mismatched: list[dict[str, object]] = []
@@ -175,8 +174,7 @@ def _offpeak_all_conventions(seq: BitSequence, reference: float) -> list[dict[st
 
 def _run_fig2(target: ReproductionTarget) -> dict[str, object]:
     n, shifts = 997, (0, 11, 77, 111)
-    table = sieve_primes(n)
-    seq = binary_primes_sequence(n, ShiftSet(shifts), table)
+    seq = binary_primes_sequence(n, ShiftSet(shifts))
     corr = autocorrelation(seq, DEFAULT_CONVENTION)
     _write_csv(target.output_path, ["lag", "c"], _correlation_rows(corr))
     return {
@@ -191,17 +189,16 @@ def _run_fig2(target: ReproductionTarget) -> dict[str, object]:
 
 
 def _run_fig3(target: ReproductionTarget) -> dict[str, object]:
-    table = sieve_primes(max(FIG3_SWEEP_PRIMES))
     shift_set = ShiftSet(FIG3_SHIFTS)
     rows = []
     for n in FIG3_SWEEP_PRIMES:
-        seq = binary_primes_sequence(n, shift_set, table)
+        seq = binary_primes_sequence(n, shift_set)
         r = randomness_measure(autocorrelation(seq, DEFAULT_CONVENTION))
         rows.append([n, _fmt(r)])
     _write_csv(target.output_path, ["n", "randomness"], rows)
 
     # the published scalar claim lives at n=199; record R under every convention
-    seq199 = binary_primes_sequence(199, shift_set, table)
+    seq199 = binary_primes_sequence(199, shift_set)
     records = []
     for conv in all_conventions():
         r = randomness_measure(autocorrelation(seq199, conv))
@@ -228,9 +225,8 @@ def _run_fig3(target: ReproductionTarget) -> dict[str, object]:
 
 
 def _run_hardened_fig(target: ReproductionTarget, q: int, shifts: tuple[int, ...]) -> dict[str, object]:
-    table = sieve_primes(q)
-    pn = d_sequence(DSequenceSpec(q=q, length=q), table)
-    bps = binary_primes_sequence(q, ShiftSet(shifts), table)
+    pn = d_sequence(DSequenceSpec(q=q, length=q))
+    bps = binary_primes_sequence(q, ShiftSet(shifts))
     hardened_corr = autocorrelation(harden(pn, bps), DEFAULT_CONVENTION)
     _write_csv(target.output_path, ["lag", "c"], _correlation_rows(hardened_corr))
     max_p, mean_p = off_peak_stats(hardened_corr)
@@ -255,8 +251,8 @@ def _run_fig6(target: ReproductionTarget) -> dict[str, object]:
     rows = []
     for p in primes:
         shift_set = select_shifts(p, recommended_shift_count(p), "evenly-spaced")
-        bps = binary_primes_sequence(p, shift_set, table)
-        pn = d_sequence(DSequenceSpec(q=p, length=p), table)
+        bps = binary_primes_sequence(p, shift_set)
+        pn = d_sequence(DSequenceSpec(q=p, length=p))
         hardened = harden(pn, bps)
         _, mean_b = off_peak_stats(autocorrelation(bps, DEFAULT_CONVENTION))
         _, mean_p = off_peak_stats(autocorrelation(hardened, DEFAULT_CONVENTION))

@@ -13,7 +13,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .primes import PrimeTable, is_prime
+from .primes import is_prime, sieve_primes
 
 SHIFT_STRATEGIES = ("explicit", "uniform-random", "evenly-spaced")
 
@@ -116,17 +116,13 @@ class DSequenceSpec:
             raise ValueError(f"length must be >= 1, got {self.length}")
 
 
-def d_sequence(spec: DSequenceSpec, table: PrimeTable) -> BitSequence:
+def d_sequence(spec: DSequenceSpec) -> BitSequence:
     """Parity trace of the powers of two modulo q: bit i is (2^i mod q) mod 2.
 
     For odd q that parity is the i-th binary digit of 1/q, so the first
     ``length`` bits are floor(2^length / q). The result is periodic with
     period ord_q(2).
     """
-    if spec.q > table.limit:
-        raise ValueError(f"q={spec.q} exceeds prime table limit {table.limit}")
-    if not table.is_prime[spec.q]:
-        raise ValueError(f"modulus must be an odd prime, got {spec.q}")
     return BitSequence.from_int(
         spec.length, (1 << spec.length) // spec.q, label=f"dseq(q={spec.q},len={spec.length})"
     )
@@ -155,20 +151,19 @@ def _sorted_divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def binary_primes_sequence(n: int, shift_set: ShiftSet, table: PrimeTable) -> BitSequence:
+def binary_primes_sequence(n: int, shift_set: ShiftSet) -> BitSequence:
     """XOR of zero-fill-shifted copies of the prime indicator row over positions 1..n.
 
     Bit k is the GF(2) sum over the shift set of "is k - a prime", where terms
     with k - a < 2 contribute nothing. With the single offset 0 this is the raw
-    indicator row itself.
+    indicator row itself. The primes up to n come from ``sieve_primes(n)``,
+    whose cap bounds n.
     """
     if n < 2:
         raise ValueError(f"sequence length must be >= 2, got {n}")
-    if n > table.limit:
-        raise ValueError(f"n={n} exceeds prime table limit {table.limit}")
     if max(shift_set.shifts) >= n:
         raise ValueError(f"shift {max(shift_set.shifts)} out of range for length {n}")
-    row = int(table.is_prime[1 : n + 1].translate(_INDICATOR_TO01), 2)
+    row = int(sieve_primes(n).is_prime[1:].translate(_INDICATOR_TO01), 2)
     value = 0
     for a in shift_set.shifts:
         value ^= row >> a

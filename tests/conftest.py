@@ -18,11 +18,6 @@ def table1000():
     return sieve_primes(1000)
 
 
-@pytest.fixture(scope="session")
-def table2000():
-    return sieve_primes(2000)
-
-
 def oracle_is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -42,7 +42,6 @@ from primeseq import (
     pnt_estimate,
     randomness_measure,
     search_space_log10_paper,
-    sieve_primes,
 )
 from primeseq.reproduce import make_target, run_target
 from conftest import (
@@ -97,8 +96,7 @@ def test_c02_table2_discrepancy_detection(tmp_path):
 
 def test_c03_prime_counting():
     with criterion("3", "exact prime count 168 below 1000, PNT estimate near 144.76", 1.0):
-        table = sieve_primes(1000)
-        assert count_primes(1000, table) == 168
+        assert count_primes(1000) == 168
         assert 144.7 <= pnt_estimate(1000) <= 144.8
 
 
@@ -248,27 +246,24 @@ def test_c07_oracle_equivalence_corpus():
 
 def test_c08_d_sequence_properties():
     with criterion("8", "D-sequence periods divide q-1 and repeat exactly over two periods", 5.0):
-        table = sieve_primes(1000)
         for q in (3, 5, 7, 11, 13, 19, 199, 997):
             t = d_sequence_period(q)
             assert (q - 1) % t == 0
-            seq = d_sequence(DSequenceSpec(q=q, length=2 * t), table)
+            seq = d_sequence(DSequenceSpec(q=q, length=2 * t))
             assert seq.bits[:t] == seq.bits[t:]
-        assert d_sequence(DSequenceSpec(q=13, length=12), table).to01() == "000100111011"
+        assert d_sequence(DSequenceSpec(q=13, length=12)).to01() == "000100111011"
 
 
 def test_c09_adversary_soundness_completeness():
     with criterion("9", "toy attack recovers the planted key and counts 36 / 180 hypotheses", 10.0):
-        table = sieve_primes(13)
-        pn = d_sequence(DSequenceSpec(q=13, length=10), table)
-        observed = harden(pn, binary_primes_sequence(10, ShiftSet((0, 1)), table))
-        attack_table = sieve_primes(10)
-        result = brute_force_attack(observed, 10, 1, attack_table)
+        pn = d_sequence(DSequenceSpec(q=13, length=10))
+        observed = harden(pn, binary_primes_sequence(10, ShiftSet((0, 1))))
+        result = brute_force_attack(observed, 1)
         assert (13, ShiftSet((0, 1))) in result.consistent_hypotheses
         assert result.hypotheses_tested == 36
-        wider = brute_force_attack(observed, 10, 2, attack_table)
+        wider = brute_force_attack(observed, 2)
         assert wider.hypotheses_tested == 180
-        assert wider.hypotheses_tested == exact_hypothesis_count(10, 2, attack_table)
+        assert wider.hypotheses_tested == exact_hypothesis_count(10, 2)
 
 
 def test_c10_complexity_figures():

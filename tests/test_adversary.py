@@ -16,7 +16,6 @@ from primeseq import (
     harden,
     search_space_log10_consistent,
     search_space_log10_paper,
-    sieve_primes,
 )
 from conftest import oracle_primes_upto
 
@@ -77,39 +76,35 @@ def enumerate_count(n, l_max):
 
 @pytest.mark.parametrize("n, l_max, expected", [(10, 2, 180), (10, 1, 36), (10, 9, 2044)])
 def test_exact_hypothesis_count_frozen(n, l_max, expected):
-    table = sieve_primes(n)
-    assert exact_hypothesis_count(n, l_max, table) == expected
+    assert exact_hypothesis_count(n, l_max) == expected
     assert enumerate_count(n, l_max) == expected
 
 
 @pytest.mark.parametrize("n, l_max", [(12, 3), (7, 2), (24, 3), (15, 5)])
 def test_exact_hypothesis_count_matches_enumeration(n, l_max):
-    table = sieve_primes(n)
-    assert exact_hypothesis_count(n, l_max, table) == enumerate_count(n, l_max)
+    assert exact_hypothesis_count(n, l_max) == enumerate_count(n, l_max)
 
 
-def test_exact_hypothesis_count_bounds(table1000):
+def test_exact_hypothesis_count_bounds():
     with pytest.raises(ValueError):
-        exact_hypothesis_count(2, 1, table1000)
+        exact_hypothesis_count(2, 1)
     with pytest.raises(ValueError):
-        exact_hypothesis_count(10, 0, table1000)
+        exact_hypothesis_count(10, 0)
     with pytest.raises(ValueError):
-        exact_hypothesis_count(10, 10, table1000)
+        exact_hypothesis_count(10, 10)
 
 
 # --- toy attack ----------------------------------------------------------------
 
 def planted_instance(q=13, added=(1,), n=10):
-    table = sieve_primes(max(n, q))
-    pn = d_sequence(DSequenceSpec(q=q, length=n), table)
-    bps = binary_primes_sequence(n, ShiftSet((0, *added)), table)
+    pn = d_sequence(DSequenceSpec(q=q, length=n))
+    bps = binary_primes_sequence(n, ShiftSet((0, *added)))
     return harden(pn, bps)
 
 
 def test_attack_recovers_planted_instance():
     observed = planted_instance()
-    table = sieve_primes(10)
-    result = brute_force_attack(observed, 10, 1, table)
+    result = brute_force_attack(observed, 1)
     assert result.hypotheses_tested == 36
     assert (13, ShiftSet((0, 1))) in result.consistent_hypotheses
     assert result.target_length == 10
@@ -117,68 +112,58 @@ def test_attack_recovers_planted_instance():
 
 def test_attack_count_matches_exact_count():
     observed = planted_instance()
-    table = sieve_primes(10)
     for l_max in (1, 2, 3):
-        result = brute_force_attack(observed, 10, l_max, table)
-        assert result.hypotheses_tested == exact_hypothesis_count(10, l_max, table)
-    assert brute_force_attack(observed, 10, 2, table).hypotheses_tested == 180
+        result = brute_force_attack(observed, l_max)
+        assert result.hypotheses_tested == exact_hypothesis_count(10, l_max)
+    assert brute_force_attack(observed, 2).hypotheses_tested == 180
 
 
 def test_attack_soundness():
     # every returned hypothesis must regenerate the observed bits exactly
     observed = planted_instance(q=17, added=(3, 6), n=12)
-    table = sieve_primes(12)
-    result = brute_force_attack(observed, 12, 2, table)
+    result = brute_force_attack(observed, 2)
     assert result.consistent_hypotheses
-    gen_table = sieve_primes(64)
     for q, shift_set in result.consistent_hypotheses:
-        pn = d_sequence(DSequenceSpec(q=q, length=12), gen_table)
-        bps = binary_primes_sequence(12, shift_set, gen_table)
+        pn = d_sequence(DSequenceSpec(q=q, length=12))
+        bps = binary_primes_sequence(12, shift_set)
         assert harden(pn, bps).bits == observed.bits
 
 
 def test_attack_completeness_within_bounds():
     for q, added, n in ((11, (3,), 10), (17, (4,), 12), (19, (2, 5), 16)):
         observed = planted_instance(q=q, added=added, n=n)
-        result = brute_force_attack(observed, n, len(added), sieve_primes(n))
+        result = brute_force_attack(observed, len(added))
         assert (q, ShiftSet((0, *added))) in result.consistent_hypotheses
 
 
 def test_attack_all_zeros_observed():
     observed = BitSequence((0,) * 10)
-    result = brute_force_attack(observed, 10, 2, sieve_primes(10))
+    result = brute_force_attack(observed, 2)
     assert result.hypotheses_tested == 180
-    gen_table = sieve_primes(64)
     for q, shift_set in result.consistent_hypotheses:
-        pn = d_sequence(DSequenceSpec(q=q, length=10), gen_table)
-        bps = binary_primes_sequence(10, shift_set, gen_table)
+        pn = d_sequence(DSequenceSpec(q=q, length=10))
+        bps = binary_primes_sequence(10, shift_set)
         assert harden(pn, bps).bits == observed.bits
 
 
 def test_attack_output_ordering():
     observed = planted_instance()
-    result = brute_force_attack(observed, 10, 3, sieve_primes(10))
+    result = brute_force_attack(observed, 3)
     keys = [(q, s.shifts) for q, s in result.consistent_hypotheses]
     assert keys == sorted(keys)
 
 
 def test_attack_instance_too_large():
-    table = sieve_primes(64)
     observed = BitSequence((0,) * 30)
     with pytest.raises(ValueError, match="n <= 24"):
-        brute_force_attack(observed, 30, 1, table)
+        brute_force_attack(observed, 1)
     small = BitSequence((0,) * 10)
     with pytest.raises(ValueError, match="l_max <= 3"):
-        brute_force_attack(small, 10, 4, table)
-
-
-def test_attack_length_mismatch():
-    with pytest.raises(ValueError):
-        brute_force_attack(BitSequence((0,) * 10), 12, 1, sieve_primes(12))
+        brute_force_attack(small, 4)
 
 
 def test_attack_result_dict_shape():
-    result = brute_force_attack(planted_instance(), 10, 1, sieve_primes(10))
+    result = brute_force_attack(planted_instance(), 1)
     assert result.target_length == 10
     payload = result.as_dict()
     assert sorted(payload) == ["consistent_hypotheses", "hypotheses_tested"]

@@ -18,8 +18,9 @@ from primeseq import (
     harden,
     off_peak_stats,
     randomness_measure,
-    sieve_primes,
 )
+from primeseq import analysis
+from primeseq.analysis import ANALYSIS_MAX_LENGTH
 from conftest import (
     oracle_autocorrelation,
     oracle_offpeak,
@@ -30,9 +31,8 @@ bits_st = st.lists(st.sampled_from((0, 1)), min_size=2, max_size=64).map(tuple)
 
 
 def _hardened_bits(q, shifts):
-    table = sieve_primes(q)
-    pn = d_sequence(DSequenceSpec(q=q, length=q), table)
-    return harden(pn, binary_primes_sequence(q, ShiftSet(shifts), table)).bits
+    pn = d_sequence(DSequenceSpec(q=q, length=q))
+    return harden(pn, binary_primes_sequence(q, ShiftSet(shifts))).bits
 
 
 # a length the kernel runs at in the reproduce targets and the CLI, far past
@@ -66,6 +66,17 @@ def test_autocorrelation_table_sum_row():
     assert corr.values == tuple(oracle_autocorrelation(seq.bits))
     assert corr.values[1] == pytest.approx(0.2)
     assert corr.values == (1.0, 0.2, 0.2, -0.2, -0.2, -0.6, -0.2, -0.2, 0.2, 0.2)
+
+
+def test_autocorrelation_length_bound(monkeypatch):
+    def kernel(x, n):
+        raise AssertionError("lag sums computed past the length bound")
+
+    monkeypatch.setattr(analysis, "_cyclic_lag_sums", kernel)
+    seq = BitSequence.from_int(ANALYSIS_MAX_LENGTH + 1, 1)
+    for run in (autocorrelation, analyze):
+        with pytest.raises(ValueError, match=f"exceeds maximum {ANALYSIS_MAX_LENGTH}"):
+            run(seq)
 
 
 def test_autocorrelation_too_short():
@@ -149,40 +160,40 @@ def test_randomness_fully_structured_inputs():
     assert randomness_measure(autocorrelation(BitSequence((1, 0, 1, 0)))) == 0.0
 
 
-def test_randomness_199_published_set(table1000):
+def test_randomness_199_published_set():
     # regression value from the double-loop oracle; the published reference
     # figure 0.9949 for this sequence is not attained under any convention
-    seq = binary_primes_sequence(199, ShiftSet((0, 7, 11, 22)), table1000)
+    seq = binary_primes_sequence(199, ShiftSet((0, 7, 11, 22)))
     r = randomness_measure(autocorrelation(seq))
     assert r == pytest.approx(0.9259428455408355, abs=1e-12)
     assert r == pytest.approx(oracle_randomness(oracle_autocorrelation(seq.bits)), abs=1e-12)
 
 
-def test_randomness_grows_with_length(table1000):
+def test_randomness_grows_with_length():
     shift_set = ShiftSet((0, 7, 11, 22))
     r = {
-        n: randomness_measure(autocorrelation(binary_primes_sequence(n, shift_set, table1000)))
+        n: randomness_measure(autocorrelation(binary_primes_sequence(n, shift_set)))
         for n in (50, 199)
     }
     assert r[199] > r[50]
 
 
-def test_off_peak_stats_examples(table1000):
+def test_off_peak_stats_examples():
     assert off_peak_stats(autocorrelation(BitSequence((1, 0, 1, 0)))) == (1.0, 1.0)
     seq = BitSequence((0, 1, 0, 1, 1, 1, 1, 1, 0, 0))
     oracle_max, oracle_mean = oracle_offpeak(oracle_autocorrelation(seq.bits))
     max_off, mean_off = off_peak_stats(autocorrelation(seq))
     assert max_off == oracle_max
     assert mean_off == pytest.approx(oracle_mean, abs=1e-12)
-    b997 = binary_primes_sequence(997, ShiftSet((0, 11, 77, 111)), table1000)
+    b997 = binary_primes_sequence(997, ShiftSet((0, 11, 77, 111)))
     max_off, mean_off = off_peak_stats(autocorrelation(b997))
     assert 0.0 < mean_off < max_off < 1.0
 
 
-def test_balance_examples(table1000):
+def test_balance_examples():
     assert balance(BitSequence((0, 1, 0, 1, 1, 1, 1, 1, 0, 0))) == 0.6
     assert balance(BitSequence((0, 0, 0))) == 0.0
-    raw = binary_primes_sequence(1000, ShiftSet((0,)), table1000)
+    raw = binary_primes_sequence(1000, ShiftSet((0,)))
     assert balance(raw) == 0.168
 
 
@@ -195,10 +206,10 @@ def test_analyze_all_ones():
     assert report.convention == DEFAULT_CONVENTION
 
 
-def test_analyze_matches_oracle_on_d13(table1000):
+def test_analyze_matches_oracle_on_d13():
     from primeseq import DSequenceSpec, d_sequence
 
-    seq = d_sequence(DSequenceSpec(q=13, length=12), table1000)
+    seq = d_sequence(DSequenceSpec(q=13, length=12))
     report = analyze(seq)
     oracle = oracle_autocorrelation(seq.bits)
     max_off, mean_off = oracle_offpeak(oracle)

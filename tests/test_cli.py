@@ -13,8 +13,10 @@ from primeseq import (
     autocorrelation,
     off_peak_stats,
     parse_sequence,
+    primes,
     reproduce,
 )
+from primeseq.analysis import ANALYSIS_MAX_LENGTH
 from primeseq.cli import main
 
 
@@ -22,6 +24,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def sieve_limits(monkeypatch):
+    """Record the limit of every sieve_primes call, under every name the package binds it to."""
+    limits = []
+    real = primes.sieve_primes
+
+    def recording(limit):
+        limits.append(limit)
+        return real(limit)
+
+    for name, module in list(sys.modules.items()):
+        if name == "primeseq" or name.startswith("primeseq."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, recording)
+    return limits
 
 
 # --- gen -----------------------------------------------------------------------
@@ -98,6 +118,14 @@ def test_gen_dseq_length_bound(capsys):
     assert "len=20000000 exceeds supported maximum" in err
 
 
+def test_gen_sieves_only_the_bps_length(capsys, sieve_limits):
+    # the D-sequence modulus is checked by trial division, never sieved
+    code, _, _ = run_cli(capsys, "gen", "dseq", "--q", "16777213", "--len", "1000")
+    assert code == 0 and sieve_limits == []
+    code, _, _ = run_cli(capsys, "gen", "hardened", "--q", "1009", "--len", "500")
+    assert code == 0 and sieve_limits == [500]
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "nonsense"])
@@ -166,6 +194,14 @@ def test_analyze_missing_file_is_io_error(tmp_path, capsys):
     assert code == 4
 
 
+def test_analyze_length_bound(tmp_path, capsys):
+    path = tmp_path / "long.txt"
+    path.write_text("1" + "0" * ANALYSIS_MAX_LENGTH + "\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 3 and out == ""
+    assert f"length {ANALYSIS_MAX_LENGTH + 1} exceeds maximum {ANALYSIS_MAX_LENGTH}" in err
+
+
 # --- complexity / attack ------------------------------------------------------------
 
 def test_complexity_small_n(capsys):
@@ -207,6 +243,14 @@ def test_attack_rejects_long_sequences(tmp_path, capsys):
     code, _, err = run_cli(capsys, "attack", str(target))
     assert code == 3
     assert "n <= 24" in err
+
+
+def test_attack_checks_size_before_sieving(tmp_path, capsys, sieve_limits):
+    target = tmp_path / "long.txt"
+    target.write_text("0" * 25 + "\n")
+    code, _, err = run_cli(capsys, "attack", str(target))
+    assert code == 3 and "n <= 24" in err
+    assert sieve_limits == []
 
 
 # --- reproduce ------------------------------------------------------------------------

@@ -1,0 +1,59 @@
+"""Package layout rules, read from the source with ``ast`` alone.
+
+The package depends on the standard library only, keeps each module's
+private names to itself and exports exactly what ``__init__`` binds.
+"""
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "primeseq"
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_imports_are_relative_or_stdlib():
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.partition(".")[0]]
+            else:
+                continue
+            for root in roots:
+                assert root in sys.stdlib_module_names, f"{name}.py imports {root}"
+
+
+def test_no_module_imports_another_modules_private_name():
+    for name, tree in _modules().items():
+        sibling_modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    assert not alias.name.startswith("_"), f"{name}.py imports {alias.name}"
+                    if node.module is None:
+                        sibling_modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in sibling_modules):
+                assert not node.attr.startswith("_"), f"{name}.py reads {node.value.id}.{node.attr}"
+
+
+def test_all_lists_every_public_name_the_package_binds():
+    tree = _modules()["__init__"]
+    bound, exported = set(), None
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if target.id == "__all__":
+                    exported = ast.literal_eval(node.value)
+                else:
+                    bound.add(target.id)
+    assert exported is not None
+    assert len(exported) == len(set(exported))
+    assert set(exported) == {name for name in bound if not name.startswith("_")}

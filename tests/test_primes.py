@@ -1,13 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from primeseq import (
     count_primes,
     is_prime,
     pnt_estimate,
-    prime_indicator,
     recommended_shift_count,
     sieve_primes,
 )
@@ -56,32 +54,16 @@ def test_sieve_rejects_bad_limits():
         sieve_primes((1 << 24) + 1)
 
 
-@pytest.mark.parametrize("k, expected", [(2, 1), (9, 0), (0, 0), (-5, 0), (997, 1)])
-def test_prime_indicator_examples(table1000, k, expected):
-    assert prime_indicator(k, table1000) == expected
-
-
-def test_prime_indicator_out_of_range(table1000):
-    with pytest.raises(ValueError):
-        prime_indicator(1001, table1000)
-
-
-@given(st.integers(min_value=-100, max_value=1000))
-def test_prime_indicator_matches_trial_division(k):
-    table = sieve_primes(1000)
-    assert bool(prime_indicator(k, table)) == oracle_is_prime(k)
-
-
 @pytest.mark.parametrize("n, expected", [(10, 4), (2, 1), (1, 0), (1000, 168)])
-def test_count_primes_examples(table1000, n, expected):
-    assert count_primes(n, table1000) == expected
+def test_count_primes_examples(n, expected):
+    assert count_primes(n) == expected
 
 
-def test_count_primes_out_of_range(table1000):
+def test_count_primes_out_of_range():
     with pytest.raises(ValueError):
-        count_primes(1001, table1000)
+        count_primes((1 << 24) + 1)
     with pytest.raises(ValueError):
-        count_primes(0, table1000)
+        count_primes(0)
 
 
 def test_pnt_estimate_examples():
@@ -93,9 +75,8 @@ def test_pnt_estimate_examples():
 
 
 def test_pnt_ratio_approaches_one():
-    table = sieve_primes(10**6)
     for n in (10**3, 10**4, 10**5, 10**6):
-        ratio = count_primes(n, table) / pnt_estimate(n)
+        ratio = count_primes(n) / pnt_estimate(n)
         assert 0.9 <= ratio <= 1.25, (n, ratio)
 
 

@@ -13,7 +13,6 @@ from primeseq import (
     harden,
     parse_sequence,
     select_shifts,
-    sieve_primes,
 )
 from conftest import (
     oracle_bps_bits,
@@ -86,8 +85,8 @@ def test_d_sequence_spec_validation():
         (3, 4, "0101"),
     ],
 )
-def test_d_sequence_frozen_examples(table1000, q, length, expected):
-    seq = d_sequence(DSequenceSpec(q=q, length=length), table1000)
+def test_d_sequence_frozen_examples(q, length, expected):
+    seq = d_sequence(DSequenceSpec(q=q, length=length))
     assert seq.to01() == expected
     assert [int(c) for c in expected] == oracle_d_bits(q, length)
 
@@ -97,9 +96,11 @@ def test_d_sequence_rejects_composite_odd_modulus():
         DSequenceSpec(q=9, length=4)
 
 
-def test_d_sequence_modulus_above_table_limit(table1000):
-    with pytest.raises(ValueError):
-        d_sequence(DSequenceSpec(q=1009, length=5), table1000)
+def test_d_sequence_modulus_above_sieve_cap():
+    # DSequenceSpec alone settles q, so a modulus past the sieve's 2^24 cap works
+    q = 16777259  # the smallest prime above 2^24
+    seq = d_sequence(DSequenceSpec(q=q, length=40))
+    assert list(seq.bits) == oracle_d_bits(q, 40)
 
 
 @pytest.mark.parametrize("q, expected", [(7, 3), (13, 12), (3, 2)])
@@ -108,11 +109,11 @@ def test_d_sequence_period_examples(q, expected):
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 19, 199, 997])
-def test_d_sequence_period_matches_brute_force_and_divides(table1000, q):
+def test_d_sequence_period_matches_brute_force_and_divides(q):
     t = d_sequence_period(q)
     assert t == oracle_mult_order_of_two(q)
     assert (q - 1) % t == 0
-    seq = d_sequence(DSequenceSpec(q=q, length=2 * t), table1000)
+    seq = d_sequence(DSequenceSpec(q=q, length=2 * t))
     assert seq.bits[:t] == seq.bits[t:]
 
 
@@ -125,21 +126,21 @@ def test_d_sequence_period_rejects_bad_modulus():
 
 # --- binary primes sequences ------------------------------------------------
 
-def test_bps_table1_sum_row(table1000):
-    seq = binary_primes_sequence(10, ShiftSet((0, 1)), table1000)
+def test_bps_table1_sum_row():
+    seq = binary_primes_sequence(10, ShiftSet((0, 1)))
     assert seq.to01() == "0101111100"
     assert sum(seq.bits) == 6
 
 
-def test_bps_identity_shift_set(table1000):
-    seq = binary_primes_sequence(10, ShiftSet((0,)), table1000)
+def test_bps_identity_shift_set():
+    seq = binary_primes_sequence(10, ShiftSet((0,)))
     assert seq.to01() == "0110101000"
 
 
-def test_bps_two_added_shifts_from_xor_oracle(table1000):
+def test_bps_two_added_shifts_from_xor_oracle():
     prime_set = set(oracle_primes_upto(10))
     expected = oracle_bps_bits(10, (0, 1, 2), prime_set)
-    seq = binary_primes_sequence(10, ShiftSet((0, 1, 2)), table1000)
+    seq = binary_primes_sequence(10, ShiftSet((0, 1, 2)))
     assert list(seq.bits) == expected
     assert seq.to01() == "0100010110"
     assert sum(seq.bits) == 4
@@ -151,24 +152,23 @@ def test_bps_two_added_shifts_from_xor_oracle(table1000):
 )
 @settings(max_examples=60)
 def test_bps_matches_oracle(n, data):
-    table = sieve_primes(300)
     added = data.draw(
         st.lists(st.integers(min_value=1, max_value=n - 1), min_size=0, max_size=4, unique=True)
     )
     shift_set = ShiftSet((0, *added))
     prime_set = set(oracle_primes_upto(n))
-    assert list(binary_primes_sequence(n, shift_set, table).bits) == oracle_bps_bits(
+    assert list(binary_primes_sequence(n, shift_set).bits) == oracle_bps_bits(
         n, shift_set.shifts, prime_set
     )
 
 
-def test_bps_errors(table1000):
+def test_bps_errors():
     with pytest.raises(ValueError):
-        binary_primes_sequence(10, ShiftSet((0, 10)), table1000)
+        binary_primes_sequence(10, ShiftSet((0, 10)))
     with pytest.raises(ValueError):
-        binary_primes_sequence(1, ShiftSet((0,)), table1000)
+        binary_primes_sequence(1, ShiftSet((0,)))
     with pytest.raises(ValueError):
-        binary_primes_sequence(1001, ShiftSet((0,)), table1000)
+        binary_primes_sequence((1 << 24) + 1, ShiftSet((0,)))
 
 
 @given(
@@ -179,26 +179,25 @@ def test_bps_errors(table1000):
 def test_bps_gf2_linearity(data, n):
     # B over a union of disjoint offset sets is the XOR of B over each part;
     # the mandatory offset 0 sits in both parts, so its row cancels there
-    table = sieve_primes(128)
     offsets = data.draw(
         st.lists(st.integers(min_value=1, max_value=n - 1), min_size=2, max_size=6, unique=True)
     )
     split = data.draw(st.integers(min_value=1, max_value=len(offsets) - 1))
     s1, s2 = offsets[:split], offsets[split:]
-    combined = binary_primes_sequence(n, ShiftSet((0, *offsets)), table)
-    left = binary_primes_sequence(n, ShiftSet((0, *s1)), table)
-    right = binary_primes_sequence(n, ShiftSet((0, *s2)), table)
-    base = binary_primes_sequence(n, ShiftSet((0,)), table)
+    combined = binary_primes_sequence(n, ShiftSet((0, *offsets)))
+    left = binary_primes_sequence(n, ShiftSet((0, *s1)))
+    right = binary_primes_sequence(n, ShiftSet((0, *s2)))
+    base = binary_primes_sequence(n, ShiftSet((0,)))
     assert combined.value == left.value ^ right.value ^ base.value
 
 
-def test_bps_zero_fill_prefix(table1000):
+def test_bps_zero_fill_prefix():
     # a row shifted by s is zero through position s + 1 (nothing below the
     # first prime at position 2 can contribute): B over (0, s) agrees with the
     # unshifted row there
-    base = binary_primes_sequence(50, ShiftSet((0,)), table1000).bits
+    base = binary_primes_sequence(50, ShiftSet((0,))).bits
     for s in (1, 3, 7):
-        row = binary_primes_sequence(50, ShiftSet((0, s)), table1000).bits
+        row = binary_primes_sequence(50, ShiftSet((0, s))).bits
         assert row[: s + 1] == base[: s + 1]
         assert row[s + 1] != base[s + 1]
 
@@ -206,20 +205,19 @@ def test_bps_zero_fill_prefix(table1000):
 @given(data=st.data())
 @settings(max_examples=40)
 def test_bps_first_position_always_zero(data):
-    table = sieve_primes(64)
     n = data.draw(st.integers(min_value=2, max_value=64))
     added = data.draw(
         st.lists(st.integers(min_value=1, max_value=n - 1), min_size=0, max_size=3, unique=True)
     )
-    seq = binary_primes_sequence(n, ShiftSet((0, *added)), table)
+    seq = binary_primes_sequence(n, ShiftSet((0, *added)))
     assert seq.bits[0] == 0
 
 
 # --- hardening ---------------------------------------------------------------
 
-def test_harden_example(table1000):
+def test_harden_example():
     pn = BitSequence((0, 0, 0, 1, 0, 0, 1, 1, 1, 0))
-    bps = binary_primes_sequence(10, ShiftSet((0, 1)), table1000)
+    bps = binary_primes_sequence(10, ShiftSet((0, 1)))
     assert harden(pn, bps).to01() == "0100110010"
 
 
@@ -282,7 +280,7 @@ def test_select_shifts_bounds():
 
 # --- balancing claim ---------------------------------------------------------
 
-def test_balance_improvement_at_recommended_shifts(table2000):
+def test_balance_improvement_at_recommended_shifts():
     # raw indicator rows are heavily zero-biased; the XOR of evenly spaced
     # shifted copies always improves the ones fraction, though not always
     # into a tight band (even offsets keep prime positions aligned on odd
@@ -290,17 +288,17 @@ def test_balance_improvement_at_recommended_shifts(table2000):
     from primeseq import recommended_shift_count
 
     for n in (100, 199, 500, 997, 2000):
-        raw = binary_primes_sequence(n, ShiftSet((0,)), table2000)
+        raw = binary_primes_sequence(n, ShiftSet((0,)))
         raw_frac = sum(raw.bits) / n
         assert raw_frac < 0.3
         shift_set = select_shifts(n, recommended_shift_count(n), "evenly-spaced")
-        mixed = binary_primes_sequence(n, shift_set, table2000)
+        mixed = binary_primes_sequence(n, shift_set)
         assert sum(mixed.bits) / n > raw_frac
 
 
-def test_balance_of_published_shift_sets(table2000):
-    b199 = binary_primes_sequence(199, ShiftSet((0, 7, 11, 22)), table2000)
-    b997 = binary_primes_sequence(997, ShiftSet((0, 11, 77, 111)), table2000)
+def test_balance_of_published_shift_sets():
+    b199 = binary_primes_sequence(199, ShiftSet((0, 7, 11, 22)))
+    b997 = binary_primes_sequence(997, ShiftSet((0, 11, 77, 111)))
     assert 0.35 <= sum(b199.bits) / 199 <= 0.65
     assert 0.35 <= sum(b997.bits) / 997 <= 0.65
 
@@ -364,21 +362,16 @@ def test_format_rejects_line_breaks_in_metadata(brk):
 N_LARGE = 10007
 
 
-@pytest.fixture(scope="module")
-def table_large():
-    return sieve_primes(N_LARGE)
-
-
-def test_d_sequence_large_matches_oracle(table_large):
-    seq = d_sequence(DSequenceSpec(q=N_LARGE, length=N_LARGE), table_large)
+def test_d_sequence_large_matches_oracle():
+    seq = d_sequence(DSequenceSpec(q=N_LARGE, length=N_LARGE))
     assert list(seq.bits) == oracle_d_bits(N_LARGE, N_LARGE)
 
 
-def test_large_sequence_paths_match_oracle(table_large):
+def test_large_sequence_paths_match_oracle():
     shift_set = select_shifts(N_LARGE, 7, "uniform-random", seed=3)
-    bps = binary_primes_sequence(N_LARGE, shift_set, table_large)
+    bps = binary_primes_sequence(N_LARGE, shift_set)
     assert list(bps.bits) == oracle_bps_bits(N_LARGE, shift_set.shifts, set(oracle_primes_upto(N_LARGE)))
-    pn = d_sequence(DSequenceSpec(q=N_LARGE, length=N_LARGE), table_large)
+    pn = d_sequence(DSequenceSpec(q=N_LARGE, length=N_LARGE))
     hardened = harden(pn, bps)
     assert hardened.bits == tuple(a ^ b for a, b in zip(pn.bits, bps.bits))
     assert harden(hardened, bps).bits == pn.bits
