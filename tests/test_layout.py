@@ -4,6 +4,7 @@ The package depends on the standard library only, keeps each module's
 private names to itself and exports exactly what ``__init__`` binds.
 """
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,3 +58,14 @@ def test_all_lists_every_public_name_the_package_binds():
     assert exported is not None
     assert len(exported) == len(set(exported))
     assert set(exported) == {name for name in bound if not name.startswith("_")}
+
+
+def test_cli_start_up_does_not_import_decimal():
+    # only the transform lag-sum path needs decimal, and it imports it there,
+    # so every CLI call's start-up stays free of it
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+        "import primeseq.cli; primeseq.cli.build_parser(); print('decimal' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"

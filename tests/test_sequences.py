@@ -14,9 +14,12 @@ from primeseq import (
     parse_sequence,
     select_shifts,
 )
+from primeseq import sequences
+from primeseq.sequences import D_SEQUENCE_MAX_MODULUS
 from conftest import (
     oracle_bps_bits,
     oracle_d_bits,
+    oracle_is_prime,
     oracle_mult_order_of_two,
     oracle_primes_upto,
 )
@@ -101,6 +104,22 @@ def test_d_sequence_modulus_above_sieve_cap():
     q = 16777259  # the smallest prime above 2^24
     seq = d_sequence(DSequenceSpec(q=q, length=40))
     assert list(seq.bits) == oracle_d_bits(q, 40)
+
+
+def test_d_sequence_modulus_cap_refuses_before_trial_division(monkeypatch):
+    q = 1099511627791  # the smallest prime above the 2^40 cap
+    assert q > D_SEQUENCE_MAX_MODULUS == 1 << 40
+    assert oracle_is_prime(q)
+    assert not any(oracle_is_prime(k) for k in range(D_SEQUENCE_MAX_MODULUS + 1, q))
+
+    def trial_division(n):
+        raise AssertionError("primality tested past the modulus cap")
+
+    monkeypatch.setattr(sequences, "is_prime", trial_division)
+    with pytest.raises(ValueError, match=f"exceeds supported maximum {D_SEQUENCE_MAX_MODULUS}"):
+        DSequenceSpec(q=q, length=64)
+    with pytest.raises(ValueError, match=f"exceeds supported maximum {D_SEQUENCE_MAX_MODULUS}"):
+        d_sequence_period(q)
 
 
 @pytest.mark.parametrize("q, expected", [(7, 3), (13, 12), (3, 2)])
