@@ -139,18 +139,19 @@ def autocorrelation(seq: BitSequence, conv: CorrelationConvention = DEFAULT_CONV
             f"sequence too long for autocorrelation: length {n} exceeds maximum {ANALYSIS_MAX_LENGTH}"
         )
     sums = _cyclic_lag_sums(seq.value, n)
-    if conv.mapping == "bipolar":
-        # -1/+1 symbols: agreements minus disagreements, n - 4m + 4*S_k for m ones
-        base = n - 4 * sums[0]
-        sums = [base + 4 * s for s in sums]
-    # exact integers divided once, bit-identical to a double loop over symbols
-    values = [s / n for s in sums]
-    if conv.normalization == "by-peak":
-        peak = values[0]
+    # the mapped lag sum is base + scale*S_k: raw 0/1 symbols give S_k itself,
+    # -1/+1 symbols agreements minus disagreements, n - 4m + 4*S_k for m ones.
+    # Exact integers divided once, bit-identical to a double loop over symbols;
+    # each value is made in one pass so only the sums and the values are held.
+    base, scale = (n - 4 * sums[0], 4) if conv.mapping == "bipolar" else (0, 1)
+    if conv.normalization == "by-n":
+        values = tuple([(base + scale * s) / n for s in sums])
+    else:
+        peak = (base + scale * sums[0]) / n
         if peak == 0:
             raise ValueError("cannot normalize by peak: lag-0 value is zero")
-        values = [v / peak for v in values]
-    return CorrelationSeries(tuple(values), conv)
+        values = tuple([(base + scale * s) / n / peak for s in sums])
+    return CorrelationSeries(values, conv)
 
 
 def randomness_measure(corr: CorrelationSeries) -> float:

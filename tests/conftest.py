@@ -7,6 +7,7 @@ package's fast paths.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 
@@ -72,3 +73,37 @@ def oracle_bps_bits(n: int, shifts, prime_set) -> list[int]:
             v ^= 1 if (k - a) in prime_set else 0
         out.append(v)
     return out
+
+
+def oracle_attack_moduli(n: int) -> list[int]:
+    # pi(n) candidate moduli, from the first prime >= n upwards
+    want = len(oracle_primes_upto(n))
+    moduli = []
+    q = n
+    while len(moduli) < want:
+        if oracle_is_prime(q):
+            moduli.append(q)
+        q += 1
+    return moduli
+
+
+def oracle_brute_force(bits, l_max) -> dict:
+    # one hypothesis at a time: every candidate modulus with every set of
+    # 1..l_max added shifts from 1..n-1, each regenerated bit by bit
+    n = len(bits)
+    prime_set = set(oracle_primes_upto(n))
+    tested = 0
+    found = []
+    for q in oracle_attack_moduli(n):
+        d = oracle_d_bits(q, n)
+        for l in range(1, l_max + 1):
+            for added in combinations(range(1, n), l):
+                tested += 1
+                b = oracle_bps_bits(n, (0, *added), prime_set)
+                if [x ^ y for x, y in zip(d, b)] == list(bits):
+                    found.append((q, [0, *added]))
+    found.sort()
+    return {
+        "consistent_hypotheses": [{"q": q, "shifts": s, "matched": True} for q, s in found],
+        "hypotheses_tested": tested,
+    }

@@ -3,6 +3,7 @@ from decimal import Decimal, getcontext
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primeseq import (
     BitSequence,
@@ -17,7 +18,13 @@ from primeseq import (
     search_space_log10_consistent,
     search_space_log10_paper,
 )
-from conftest import oracle_primes_upto
+from conftest import (
+    oracle_attack_moduli,
+    oracle_bps_bits,
+    oracle_brute_force,
+    oracle_d_bits,
+    oracle_primes_upto,
+)
 
 
 # --- closed-form search-space figures ---------------------------------------
@@ -169,6 +176,48 @@ def test_attack_result_dict_shape():
     assert sorted(payload) == ["consistent_hypotheses", "hypotheses_tested"]
     assert payload["hypotheses_tested"] == 36
     assert {"q": 13, "shifts": [0, 1], "matched": True} in payload["consistent_hypotheses"]
+
+
+def oracle_planted_bits(q, shifts, n):
+    d = oracle_d_bits(q, n)
+    b = oracle_bps_bits(n, shifts, set(oracle_primes_upto(n)))
+    return [x ^ y for x, y in zip(d, b)]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_attack_matches_oracle(data):
+    n = data.draw(st.integers(min_value=3, max_value=14), label="n")
+    l_max = data.draw(st.integers(min_value=1, max_value=min(3, n - 1)), label="l_max")
+    if data.draw(st.booleans(), label="planted"):
+        q = data.draw(st.sampled_from(oracle_attack_moduli(n)), label="q")
+        added = data.draw(
+            st.lists(st.integers(min_value=1, max_value=n - 1), min_size=1, max_size=l_max, unique=True),
+            label="added",
+        )
+        bits = oracle_planted_bits(q, (0, *sorted(added)), n)
+    else:
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="bits")
+    result = brute_force_attack(BitSequence(tuple(bits)), l_max)
+    assert result.as_dict() == oracle_brute_force(bits, l_max)
+
+
+@pytest.mark.parametrize("bits, planted", [
+    (oracle_planted_bits(31, (0, 2, 9, 17), 24), (31, [0, 2, 9, 17])),
+    ([0] * 24, None),
+    # shift 23 = n-1 moves every prime out of the window, so the planted set
+    # and the same set without 23 both regenerate the observation
+    (oracle_planted_bits(29, (0, 3, 7, 23), 24), (29, [0, 3, 7, 23])),
+], ids=["planted", "all-zero", "shift-n-1"])
+def test_attack_matches_oracle_at_caps(bits, planted):
+    expected = oracle_brute_force(bits, 3)
+    assert brute_force_attack(BitSequence(tuple(bits)), 3).as_dict() == expected
+    assert expected["hypotheses_tested"] == exact_hypothesis_count(24, 3)
+    if planted is not None:
+        q, shifts = planted
+        assert {"q": q, "shifts": shifts, "matched": True} in expected["consistent_hypotheses"]
+    if planted == (29, [0, 3, 7, 23]):
+        assert {"q": 29, "shifts": [0, 3, 7], "matched": True} in expected["consistent_hypotheses"]
 
 
 # --- assembled estimate ----------------------------------------------------------
