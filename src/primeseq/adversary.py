@@ -11,6 +11,7 @@ set only once and decides each candidate prime by one table lookup.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -22,6 +23,9 @@ from .sequences import BitSequence, DSequenceSpec, ShiftSet, binary_primes_seque
 # `attack` on a 2-vCPU Xeon.
 ATTACK_MAX_LENGTH = 24
 ATTACK_MAX_ADDED_SHIFTS = 3
+# Largest n the closed-form figures take: they divide n^2 and n by floats, so
+# n^2 must convert to a double, which fails from just below n = 2^512.
+_FORMULA_MAX_N = math.isqrt(int(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,6 @@ class SearchSpaceEstimate:
     log10_paper_formula: float
     log10_consistent_formula: float
     exact_count: int | None
-    parameters: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -51,17 +54,22 @@ class AttackResult:
 
 def search_space_log10_paper(n: int) -> float:
     """log10 of the headline attacker-workload expression n^2/(2 ln n) * n^(n/ln n)."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    _check_formula_n(n)
     ln_n = math.log(n)
     return math.log10(n * n / (2.0 * ln_n)) + (n / ln_n) * math.log10(n)
 
 
 def search_space_log10_consistent(n: int) -> float:
     """log10 of the product of the three stated unknowns: (n/2) * n^((ln n)/2)."""
+    _check_formula_n(n)
+    return math.log10(n / 2.0) + 0.5 * math.log(n) * math.log10(n)
+
+
+def _check_formula_n(n: int) -> None:
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    return math.log10(n / 2.0) + 0.5 * math.log(n) * math.log10(n)
+    if n > _FORMULA_MAX_N:
+        raise ValueError(f"n={n} exceeds supported maximum {_FORMULA_MAX_N}")
 
 
 def exact_hypothesis_count(n: int, l_max: int) -> int:
@@ -154,4 +162,4 @@ def estimate_search_space(n: int, l_max: int = ATTACK_MAX_ADDED_SHIFTS) -> Searc
     exact: int | None = None
     if n <= ATTACK_MAX_LENGTH:
         exact = exact_hypothesis_count(n, min(l_max, n - 1))
-    return SearchSpaceEstimate(paper, consistent, exact, (n, l_max))
+    return SearchSpaceEstimate(paper, consistent, exact)

@@ -37,10 +37,6 @@ class CorrelationConvention:
                 f"normalization must be one of {NORMALIZATIONS}, got {self.normalization!r}"
             )
 
-    @property
-    def name(self) -> str:
-        return f"{self.mapping}/{self.normalization}"
-
     def as_dict(self) -> dict[str, str]:
         return {"mapping": self.mapping, "normalization": self.normalization}
 

@@ -52,9 +52,7 @@ def _resolve_shifts(n: int, shifts_arg: str | None, seed: int | None) -> ShiftSe
     # when a seed is given, evenly spaced when not
     if shifts_arg is not None:
         return ShiftSet(_parse_shifts(shifts_arg))
-    l = recommended_shift_count(n)
-    strategy = "uniform-random" if seed is not None else "evenly-spaced"
-    return select_shifts(n, l, strategy, seed=seed)
+    return select_shifts(n, recommended_shift_count(n), seed)
 
 
 def _emit_sequence(seq: BitSequence, metadata: dict[str, object], out: str | None) -> None:
@@ -100,7 +98,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         meta = {"kind": "hardened", "q": args.q, "n": length,
                 "shifts": ",".join(str(s) for s in shifts.shifts)}
     label = " ".join(f"{k}={v}" for k, v in meta.items())
-    seq = BitSequence.from_int(seq.length, seq.value, label)
+    seq = BitSequence(seq.length, seq.value, label)
     _emit_sequence(seq, meta, args.out)
     return EXIT_OK
 

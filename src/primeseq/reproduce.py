@@ -250,7 +250,7 @@ def _run_fig6(target: ReproductionTarget) -> dict[str, object]:
     primes = [p for p in range(lo, hi + 1) if table.is_prime[p]]
     rows = []
     for p in primes:
-        shift_set = select_shifts(p, recommended_shift_count(p), "evenly-spaced")
+        shift_set = select_shifts(p, recommended_shift_count(p))
         bps = binary_primes_sequence(p, shift_set)
         pn = d_sequence(DSequenceSpec(q=p, length=p))
         hardened = harden(pn, bps)

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .primes import is_prime, sieve_primes
 
-SHIFT_STRATEGIES = ("explicit", "uniform-random", "evenly-spaced")
 # Largest D-sequence modulus accepted: its trial-division primality check takes
 # about 0.05 s here on a 2-vCPU Xeon and grows with sqrt(q) beyond.
 D_SEQUENCE_MAX_MODULUS = 1 << 40
@@ -24,7 +22,7 @@ D_SEQUENCE_MAX_MODULUS = 1 << 40
 _INDICATOR_TO01 = b"0" + b"1" * 255
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BitSequence:
     """A finite 0/1 sequence packed into ``value``, with a free-form provenance label.
 
@@ -34,46 +32,16 @@ class BitSequence:
 
     length: int
     value: int
-    label: str
+    label: str = ""
 
-    def __init__(self, bits: Iterable[int], label: str = "") -> None:
-        bits = tuple(bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("sequence elements must be 0 or 1")
-        body = "".join("1" if b else "0" for b in bits)
-        self._assign(len(body), int(body or "0", 2), label)
-
-    @classmethod
-    def from_int(cls, length: int, value: int, label: str = "") -> "BitSequence":
-        seq = cls.__new__(cls)
-        seq._assign(length, value, label)
-        return seq
-
-    def _assign(self, length: int, value: int, label: str) -> None:
-        if length < 1:
+    def __post_init__(self) -> None:
+        if self.length < 1:
             raise ValueError("sequence must have at least one bit")
-        if value < 0 or value >> length:
-            raise ValueError(f"value does not fit in {length} bits")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "label", label)
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(map(int, self.to01()))
-
-    def __len__(self) -> int:
-        return self.length
+        if self.value < 0 or self.value >> self.length:
+            raise ValueError(f"value does not fit in {self.length} bits")
 
     def to01(self) -> str:
         return format(self.value, f"0{self.length}b")
-
-    @classmethod
-    def from01(cls, text: str, label: str = "") -> "BitSequence":
-        bad = text.lstrip("01")
-        if bad:
-            raise ValueError(f"invalid character {bad[0]!r} in 0/1 text")
-        return cls.from_int(len(text), int(text or "0", 2), label)
 
 
 @dataclass(frozen=True)
@@ -96,14 +64,6 @@ class ShiftSet:
             raise ValueError("shift set must contain the unshifted offset 0")
         object.__setattr__(self, "shifts", shifts)
 
-    @property
-    def added(self) -> tuple[int, ...]:
-        return self.shifts[1:]
-
-    @property
-    def added_count(self) -> int:
-        return len(self.shifts) - 1
-
 
 @dataclass(frozen=True)
 class DSequenceSpec:
@@ -125,7 +85,7 @@ def d_sequence(spec: DSequenceSpec) -> BitSequence:
     ``length`` bits are floor(2^length / q). The result is periodic with
     period ord_q(2).
     """
-    return BitSequence.from_int(
+    return BitSequence(
         spec.length, (1 << spec.length) // spec.q, label=f"dseq(q={spec.q},len={spec.length})"
     )
 
@@ -177,7 +137,7 @@ def binary_primes_sequence(n: int, shift_set: ShiftSet) -> BitSequence:
     for a in shift_set.shifts:
         value ^= row >> a
     shifts_text = ",".join(str(s) for s in shift_set.shifts)
-    return BitSequence.from_int(n, value, label=f"bps(n={n},shifts={shifts_text})")
+    return BitSequence(n, value, label=f"bps(n={n},shifts={shifts_text})")
 
 
 def harden(pn: BitSequence, bps: BitSequence) -> BitSequence:
@@ -187,54 +147,33 @@ def harden(pn: BitSequence, bps: BitSequence) -> BitSequence:
     """
     if pn.length != bps.length:
         raise ValueError(f"length mismatch: {pn.length} != {bps.length}")
-    return BitSequence.from_int(
+    return BitSequence(
         pn.length, pn.value ^ bps.value, label=f"hardened({pn.label or 'pn'},{bps.label or 'bps'})"
     )
 
 
-def select_shifts(
-    n: int,
-    l: int,
-    strategy: str = "evenly-spaced",
-    seed: int | None = None,
-    explicit_values: tuple[int, ...] | None = None,
-) -> ShiftSet:
+def select_shifts(n: int, l: int, seed: int | None = None) -> ShiftSet:
     """Build a shift set of l added offsets (plus the mandatory 0) for length n.
 
-    explicit: validates the caller's values, which must include 0 and exactly
-    l added offsets. uniform-random: l distinct draws from 1..n-1, reproducible
-    for a given seed. evenly-spaced: round(i*n/(l+1)) for i=1..l, probing
-    rightward past collisions.
+    Without a seed the offsets are evenly spaced, round(i*n/(l+1)) for
+    i=1..l, probing rightward past collisions; with one they are l distinct
+    draws from 1..n-1, reproducible for that seed.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 1 <= l <= n - 1:
         raise ValueError(f"added shift count must be in 1..{n - 1}, got {l}")
-    if strategy == "explicit":
-        if explicit_values is None:
-            raise ValueError("explicit strategy requires explicit_values")
-        shift_set = ShiftSet(tuple(explicit_values))
-        if shift_set.added_count != l:
-            raise ValueError(
-                f"explicit values carry {shift_set.added_count} added shifts, expected {l}"
-            )
-        if max(shift_set.shifts) >= n:
-            raise ValueError(f"shift {max(shift_set.shifts)} out of range for length {n}")
-        return shift_set
-    if strategy == "uniform-random":
-        rng = random.Random(seed)
-        return ShiftSet((0, *rng.sample(range(1, n), l)))
-    if strategy == "evenly-spaced":
-        used = {0}
-        for i in range(1, l + 1):
-            c = _round_half_up_ratio(i * n, l + 1)
-            while c in used:
-                c += 1
-                if c >= n:
-                    c = 1
-            used.add(c)
-        return ShiftSet(tuple(used))
-    raise ValueError(f"unknown strategy {strategy!r}, expected one of {SHIFT_STRATEGIES}")
+    if seed is not None:
+        return ShiftSet((0, *random.Random(seed).sample(range(1, n), l)))
+    used = {0}
+    for i in range(1, l + 1):
+        c = _round_half_up_ratio(i * n, l + 1)
+        while c in used:
+            c += 1
+            if c >= n:
+                c = 1
+        used.add(c)
+    return ShiftSet(tuple(used))
 
 
 def _round_half_up_ratio(a: int, b: int) -> int:
@@ -296,4 +235,4 @@ def parse_sequence(text: str) -> BitSequence:
     label = metadata.get("label")
     if label is None:
         label = " ".join(f"{k}={v}" for k, v in metadata.items())
-    return BitSequence.from_int(len(digits), int(digits, 2), label=label)
+    return BitSequence(len(digits), int(digits, 2), label=label)

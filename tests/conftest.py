@@ -11,12 +11,22 @@ from itertools import combinations
 
 import pytest
 
-from primeseq import sieve_primes
+from primeseq import BitSequence, sieve_primes
 
 
 @pytest.fixture(scope="session")
 def table1000():
     return sieve_primes(1000)
+
+
+def seq_of(bits, label="") -> BitSequence:
+    """Pack 0/1 symbols, position 1 first, into a BitSequence."""
+    text = "".join(str(b) for b in bits)
+    return BitSequence(len(text), int(text or "0", 2), label)
+
+
+def bits_of(seq: BitSequence) -> tuple[int, ...]:
+    return tuple(int(c) for c in seq.to01())
 
 
 def oracle_is_prime(n: int) -> bool:

@@ -26,7 +26,6 @@ from time import perf_counter
 import pytest
 
 from primeseq import (
-    BitSequence,
     DEFAULT_CONVENTION,
     DSequenceSpec,
     ShiftSet,
@@ -45,12 +44,14 @@ from primeseq import (
 )
 from primeseq.reproduce import make_target, run_target
 from conftest import (
+    bits_of,
     oracle_autocorrelation,
     oracle_bps_bits,
     oracle_d_bits,
     oracle_offpeak,
     oracle_primes_upto,
     oracle_randomness,
+    seq_of,
 )
 
 
@@ -207,8 +208,8 @@ def test_c06a_hardening_mean_offpeak(tmp_path):
             q = int(prime)
             dseq, hardened = _hardened_oracle_bits(q, [int(s) for s in shifts.split(";")], prime_set)
             # the package's lag sums, oracle-checked above and in criterion 7
-            max_d, mean_d = off_peak_stats(autocorrelation(BitSequence(tuple(dseq))))
-            max_p, mean_p = off_peak_stats(autocorrelation(BitSequence(tuple(hardened))))
+            max_d, mean_d = off_peak_stats(autocorrelation(seq_of(dseq)))
+            max_p, mean_p = off_peak_stats(autocorrelation(seq_of(hardened)))
             assert float(mean_p_csv) == pytest.approx(mean_p, rel=1e-9)
             mean_lower += mean_p < mean_d
             if not max_p < max_d:
@@ -236,7 +237,7 @@ def test_c07_oracle_equivalence_corpus():
         for _ in range(200):
             n = rng.randint(2, 64)
             bits = tuple(rng.randint(0, 1) for _ in range(n))
-            series = autocorrelation(BitSequence(bits), DEFAULT_CONVENTION)
+            series = autocorrelation(seq_of(bits), DEFAULT_CONVENTION)
             assert list(series.values) == oracle_autocorrelation(bits)
             assert series.values[0] == 1.0
             for k in range(1, n):
@@ -250,7 +251,7 @@ def test_c08_d_sequence_properties():
             t = d_sequence_period(q)
             assert (q - 1) % t == 0
             seq = d_sequence(DSequenceSpec(q=q, length=2 * t))
-            assert seq.bits[:t] == seq.bits[t:]
+            assert bits_of(seq)[:t] == bits_of(seq)[t:]
         assert d_sequence(DSequenceSpec(q=13, length=12)).to01() == "000100111011"
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from primeseq import (
-    BitSequence,
     DSequenceSpec,
     ShiftSet,
     binary_primes_sequence,
@@ -19,11 +18,13 @@ from primeseq import (
     search_space_log10_paper,
 )
 from conftest import (
+    bits_of,
     oracle_attack_moduli,
     oracle_bps_bits,
     oracle_brute_force,
     oracle_d_bits,
     oracle_primes_upto,
+    seq_of,
 )
 
 
@@ -56,6 +57,13 @@ def test_formulas_strictly_increasing():
     for lo, hi in zip(points, points[1:]):
         assert search_space_log10_paper(hi) > search_space_log10_paper(lo)
         assert search_space_log10_consistent(hi) > search_space_log10_consistent(lo)
+
+
+def test_formulas_refuse_n_whose_square_overflows_a_double():
+    for formula in (search_space_log10_paper, search_space_log10_consistent):
+        assert math.isfinite(formula(2**511))
+        with pytest.raises(ValueError, match="exceeds supported maximum"):
+            formula(2**512 - 1)
 
 
 def test_paper_formula_against_high_precision_evaluation():
@@ -133,7 +141,7 @@ def test_attack_soundness():
     for q, shift_set in result.consistent_hypotheses:
         pn = d_sequence(DSequenceSpec(q=q, length=12))
         bps = binary_primes_sequence(12, shift_set)
-        assert harden(pn, bps).bits == observed.bits
+        assert bits_of(harden(pn, bps)) == bits_of(observed)
 
 
 def test_attack_completeness_within_bounds():
@@ -144,13 +152,13 @@ def test_attack_completeness_within_bounds():
 
 
 def test_attack_all_zeros_observed():
-    observed = BitSequence((0,) * 10)
+    observed = seq_of((0,) * 10)
     result = brute_force_attack(observed, 2)
     assert result.hypotheses_tested == 180
     for q, shift_set in result.consistent_hypotheses:
         pn = d_sequence(DSequenceSpec(q=q, length=10))
         bps = binary_primes_sequence(10, shift_set)
-        assert harden(pn, bps).bits == observed.bits
+        assert bits_of(harden(pn, bps)) == bits_of(observed)
 
 
 def test_attack_output_ordering():
@@ -161,10 +169,10 @@ def test_attack_output_ordering():
 
 
 def test_attack_instance_too_large():
-    observed = BitSequence((0,) * 30)
+    observed = seq_of((0,) * 30)
     with pytest.raises(ValueError, match="n <= 24"):
         brute_force_attack(observed, 1)
-    small = BitSequence((0,) * 10)
+    small = seq_of((0,) * 10)
     with pytest.raises(ValueError, match="l_max <= 3"):
         brute_force_attack(small, 4)
 
@@ -198,7 +206,7 @@ def test_attack_matches_oracle(data):
         bits = oracle_planted_bits(q, (0, *sorted(added)), n)
     else:
         bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="bits")
-    result = brute_force_attack(BitSequence(tuple(bits)), l_max)
+    result = brute_force_attack(seq_of(bits), l_max)
     assert result.as_dict() == oracle_brute_force(bits, l_max)
 
 
@@ -211,7 +219,7 @@ def test_attack_matches_oracle(data):
 ], ids=["planted", "all-zero", "shift-n-1"])
 def test_attack_matches_oracle_at_caps(bits, planted):
     expected = oracle_brute_force(bits, 3)
-    assert brute_force_attack(BitSequence(tuple(bits)), 3).as_dict() == expected
+    assert brute_force_attack(seq_of(bits), 3).as_dict() == expected
     assert expected["hypotheses_tested"] == exact_hypothesis_count(24, 3)
     if planted is not None:
         q, shifts = planted
@@ -225,7 +233,6 @@ def test_attack_matches_oracle_at_caps(bits, planted):
 def test_estimate_search_space_exact_count_presence():
     small = estimate_search_space(10, l_max=2)
     assert small.exact_count == 180
-    assert small.parameters == (10, 2)
     large = estimate_search_space(1000)
     assert large.exact_count is None
     assert large.log10_paper_formula > large.log10_consistent_formula

@@ -22,9 +22,11 @@ from primeseq import (
 from primeseq import analysis
 from primeseq.analysis import ANALYSIS_MAX_LENGTH
 from conftest import (
+    bits_of,
     oracle_autocorrelation,
     oracle_offpeak,
     oracle_randomness,
+    seq_of,
 )
 
 bits_st = st.lists(st.sampled_from((0, 1)), min_size=2, max_size=64).map(tuple)
@@ -32,7 +34,7 @@ bits_st = st.lists(st.sampled_from((0, 1)), min_size=2, max_size=64).map(tuple)
 
 def _hardened_bits(q, shifts):
     pn = d_sequence(DSequenceSpec(q=q, length=q))
-    return harden(pn, binary_primes_sequence(q, ShiftSet(shifts))).bits
+    return bits_of(harden(pn, binary_primes_sequence(q, ShiftSet(shifts))))
 
 
 # a length the kernel runs at in the reproduce targets and the CLI, far past
@@ -42,7 +44,6 @@ HARDENED_1009 = _hardened_bits(1009, (0, 11, 77, 111))
 
 def test_convention_validation():
     assert DEFAULT_CONVENTION == CorrelationConvention("bipolar", "by-n")
-    assert DEFAULT_CONVENTION.name == "bipolar/by-n"
     assert len(all_conventions()) == 4
     with pytest.raises(ValueError):
         CorrelationConvention("signed", "by-n")
@@ -51,19 +52,19 @@ def test_convention_validation():
 
 
 def test_autocorrelation_alternating():
-    seq = BitSequence((1, 0, 1, 0))
+    seq = seq_of((1, 0, 1, 0))
     assert autocorrelation(seq).values == (1.0, -1.0, 1.0, -1.0)
 
 
 def test_autocorrelation_all_ones():
-    seq = BitSequence((1,) * 8)
+    seq = seq_of((1,) * 8)
     assert autocorrelation(seq).values == (1.0,) * 8
 
 
 def test_autocorrelation_table_sum_row():
-    seq = BitSequence((0, 1, 0, 1, 1, 1, 1, 1, 0, 0))
+    seq = seq_of((0, 1, 0, 1, 1, 1, 1, 1, 0, 0))
     corr = autocorrelation(seq)
-    assert corr.values == tuple(oracle_autocorrelation(seq.bits))
+    assert corr.values == tuple(oracle_autocorrelation(bits_of(seq)))
     assert corr.values[1] == pytest.approx(0.2)
     assert corr.values == (1.0, 0.2, 0.2, -0.2, -0.2, -0.6, -0.2, -0.2, 0.2, 0.2)
 
@@ -73,7 +74,7 @@ def test_autocorrelation_length_bound(monkeypatch):
         raise AssertionError("lag sums computed past the length bound")
 
     monkeypatch.setattr(analysis, "_cyclic_lag_sums", kernel)
-    seq = BitSequence.from_int(ANALYSIS_MAX_LENGTH + 1, 1)
+    seq = BitSequence(ANALYSIS_MAX_LENGTH + 1, 1)
     for run in (autocorrelation, analyze):
         with pytest.raises(ValueError, match=f"exceeds maximum {ANALYSIS_MAX_LENGTH}"):
             run(seq)
@@ -81,11 +82,11 @@ def test_autocorrelation_length_bound(monkeypatch):
 
 def test_autocorrelation_too_short():
     with pytest.raises(ValueError):
-        autocorrelation(BitSequence((1,)))
+        autocorrelation(seq_of((1,)))
 
 
 def test_by_peak_zero_peak_rejected():
-    zeros = BitSequence((0, 0, 0, 0))
+    zeros = seq_of((0, 0, 0, 0))
     with pytest.raises(ValueError):
         autocorrelation(zeros, CorrelationConvention("raw01", "by-peak"))
     # bipolar maps zeros to -1 symbols, whose peak is 1
@@ -114,10 +115,10 @@ def _assert_all_conventions_match_oracle(bits):
         if conv.normalization == "by-peak" and conv.mapping == "raw01" and not any(bits):
             continue  # zero peak, refused: see test_by_peak_zero_peak_rejected
         oracle = oracle_autocorrelation(bits, conv.mapping, conv.normalization)
-        assert list(autocorrelation(BitSequence(bits), conv).values) == oracle
+        assert list(autocorrelation(seq_of(bits), conv).values) == oracle
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "LAG_SUM_TRANSFORM_MIN_LENGTH", 2)
-            assert list(autocorrelation(BitSequence(bits), conv).values) == oracle
+            assert list(autocorrelation(seq_of(bits), conv).values) == oracle
 
 
 @given(bits=bits_st)
@@ -159,7 +160,7 @@ def test_transform_lag_sums_at_slot_width_boundaries(ones):
 
 @pytest.mark.parametrize("q", [10007, 31607, 100003])
 def test_transform_lag_sums_equal_popcount(q):
-    x = BitSequence(_hardened_bits(q, (0, 11, 77, 111))).value
+    x = seq_of(_hardened_bits(q, (0, 11, 77, 111))).value
     assert _transform_sums(x, q) == _popcount_sums(x, q)
 
 
@@ -185,7 +186,7 @@ def test_cyclic_symmetry(bits):
     for conv in all_conventions():
         if conv.normalization == "by-peak" and conv.mapping == "raw01":
             assume(any(bits))
-        values = autocorrelation(BitSequence(bits), conv).values
+        values = autocorrelation(seq_of(bits), conv).values
         n = len(values)
         for k in range(1, n):
             assert values[k] == values[n - k]
@@ -196,8 +197,8 @@ def test_rotation_invariance(bits, rotation):
     r = rotation % len(bits)
     rotated = bits[r:] + bits[:r]
     assert (
-        autocorrelation(BitSequence(rotated)).values
-        == autocorrelation(BitSequence(bits)).values
+        autocorrelation(seq_of(rotated)).values
+        == autocorrelation(seq_of(bits)).values
     )
 
 
@@ -205,14 +206,14 @@ def test_rotation_invariance(bits, rotation):
 def test_complement_invariance_bipolar(bits):
     flipped = tuple(1 - b for b in bits)
     assert (
-        autocorrelation(BitSequence(flipped)).values
-        == autocorrelation(BitSequence(bits)).values
+        autocorrelation(seq_of(flipped)).values
+        == autocorrelation(seq_of(bits)).values
     )
 
 
 @given(bits=bits_st)
 def test_bipolar_by_n_bounds(bits):
-    corr = autocorrelation(BitSequence(bits))
+    corr = autocorrelation(seq_of(bits))
     assert corr.values[0] == 1.0
     assert all(abs(v) <= 1.0 for v in corr.values)
     r = randomness_measure(corr)
@@ -222,8 +223,8 @@ def test_bipolar_by_n_bounds(bits):
 
 
 def test_randomness_fully_structured_inputs():
-    assert randomness_measure(autocorrelation(BitSequence((1,) * 8))) == 0.0
-    assert randomness_measure(autocorrelation(BitSequence((1, 0, 1, 0)))) == 0.0
+    assert randomness_measure(autocorrelation(seq_of((1,) * 8))) == 0.0
+    assert randomness_measure(autocorrelation(seq_of((1, 0, 1, 0)))) == 0.0
 
 
 def test_randomness_199_published_set():
@@ -232,7 +233,7 @@ def test_randomness_199_published_set():
     seq = binary_primes_sequence(199, ShiftSet((0, 7, 11, 22)))
     r = randomness_measure(autocorrelation(seq))
     assert r == pytest.approx(0.9259428455408355, abs=1e-12)
-    assert r == pytest.approx(oracle_randomness(oracle_autocorrelation(seq.bits)), abs=1e-12)
+    assert r == pytest.approx(oracle_randomness(oracle_autocorrelation(bits_of(seq))), abs=1e-12)
 
 
 def test_randomness_grows_with_length():
@@ -245,9 +246,9 @@ def test_randomness_grows_with_length():
 
 
 def test_off_peak_stats_examples():
-    assert off_peak_stats(autocorrelation(BitSequence((1, 0, 1, 0)))) == (1.0, 1.0)
-    seq = BitSequence((0, 1, 0, 1, 1, 1, 1, 1, 0, 0))
-    oracle_max, oracle_mean = oracle_offpeak(oracle_autocorrelation(seq.bits))
+    assert off_peak_stats(autocorrelation(seq_of((1, 0, 1, 0)))) == (1.0, 1.0)
+    seq = seq_of((0, 1, 0, 1, 1, 1, 1, 1, 0, 0))
+    oracle_max, oracle_mean = oracle_offpeak(oracle_autocorrelation(bits_of(seq)))
     max_off, mean_off = off_peak_stats(autocorrelation(seq))
     assert max_off == oracle_max
     assert mean_off == pytest.approx(oracle_mean, abs=1e-12)
@@ -257,14 +258,14 @@ def test_off_peak_stats_examples():
 
 
 def test_balance_examples():
-    assert balance(BitSequence((0, 1, 0, 1, 1, 1, 1, 1, 0, 0))) == 0.6
-    assert balance(BitSequence((0, 0, 0))) == 0.0
+    assert balance(seq_of((0, 1, 0, 1, 1, 1, 1, 1, 0, 0))) == 0.6
+    assert balance(seq_of((0, 0, 0))) == 0.0
     raw = binary_primes_sequence(1000, ShiftSet((0,)))
     assert balance(raw) == 0.168
 
 
 def test_analyze_all_ones():
-    report = analyze(BitSequence((1,) * 16, label="ones"))
+    report = analyze(seq_of((1,) * 16, label="ones"))
     assert report.randomness == 0.0
     assert report.max_offpeak == 1.0
     assert report.ones_fraction == 1.0
@@ -277,7 +278,7 @@ def test_analyze_matches_oracle_on_d13():
 
     seq = d_sequence(DSequenceSpec(q=13, length=12))
     report = analyze(seq)
-    oracle = oracle_autocorrelation(seq.bits)
+    oracle = oracle_autocorrelation(bits_of(seq))
     max_off, mean_off = oracle_offpeak(oracle)
     assert report.randomness == pytest.approx(oracle_randomness(oracle), abs=1e-12)
     assert report.max_offpeak == pytest.approx(max_off, abs=1e-12)
@@ -286,7 +287,7 @@ def test_analyze_matches_oracle_on_d13():
 
 
 def test_analyze_report_dict_shape():
-    payload = analyze(BitSequence((1, 0, 1, 1))).as_dict()
+    payload = analyze(seq_of((1, 0, 1, 1))).as_dict()
     assert sorted(payload) == [
         "convention",
         "max_offpeak",
@@ -303,5 +304,5 @@ def test_random_corpus_oracle_equivalence():
     for _ in range(50):
         n = rng.randint(2, 64)
         bits = tuple(rng.randint(0, 1) for _ in range(n))
-        got = autocorrelation(BitSequence(bits)).values
+        got = autocorrelation(seq_of(bits)).values
         assert list(got) == oracle_autocorrelation(bits)

@@ -251,6 +251,18 @@ def test_complexity_below_domain(capsys):
     assert code == 3
 
 
+def test_complexity_refuses_n_whose_square_overflows_a_double(capsys):
+    # n = 2^511 keeps its output; from just below 2^512, n^2 no longer
+    # converts to a float, and the figures are refused instead of crashing
+    code, out, _ = run_cli(capsys, "complexity", "--n", str(2**511))
+    assert code == 0
+    assert out == '{"log10_paper_formula": 2.911468499196366e+153, "log10_consistent_formula": 27396.03021737969}\n'
+    for n in (2**512 - 1, 2**512):
+        code, out, err = run_cli(capsys, "complexity", "--n", str(n))
+        assert code == 3 and out == ""
+        assert "exceeds supported maximum" in err
+
+
 def test_attack_planted_instance(tmp_path, capsys):
     target = tmp_path / "obs.txt"
     run_cli(capsys, "gen", "hardened", "--q", "13", "--len", "10", "--shifts", "0,1",

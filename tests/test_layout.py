@@ -1,7 +1,8 @@
 """Package layout rules, read from the source with ``ast`` alone.
 
 The package depends on the standard library only, keeps each module's
-private names to itself and exports exactly what ``__init__`` binds.
+private names to itself, exports exactly what ``__init__`` binds and defines
+no public method or property that it never reads itself.
 """
 import ast
 import subprocess
@@ -69,3 +70,19 @@ def test_cli_start_up_does_not_import_decimal():
     )
     result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def test_every_public_method_is_read_in_the_package():
+    # a method or property that only the tests reach is surface to delete
+    defined, read = set(), set()
+    for tree in _modules().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined |= {
+                    (node.name, item.name) for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                }
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = sorted(f"{cls}.{name}" for cls, name in defined if name not in read)
+    assert not unread, f"never read in the package: {unread}"

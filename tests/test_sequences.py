@@ -17,11 +17,13 @@ from primeseq import (
 from primeseq import sequences
 from primeseq.sequences import D_SEQUENCE_MAX_MODULUS
 from conftest import (
+    bits_of,
     oracle_bps_bits,
     oracle_d_bits,
     oracle_is_prime,
     oracle_mult_order_of_two,
     oracle_primes_upto,
+    seq_of,
 )
 
 bits_st = st.lists(st.sampled_from((0, 1)), min_size=1, max_size=64).map(tuple)
@@ -31,36 +33,21 @@ bits_st = st.lists(st.sampled_from((0, 1)), min_size=1, max_size=64).map(tuple)
 
 def test_bit_sequence_validation():
     with pytest.raises(ValueError):
-        BitSequence(())
+        BitSequence(0, 0)
     with pytest.raises(ValueError):
-        BitSequence((0, 2, 1))
-    seq = BitSequence((0, 1, 1))
-    assert seq.length == 3 and len(seq) == 3
-    assert seq.to01() == "011"
-    assert BitSequence.from01("011") == seq
-
-
-@pytest.mark.parametrize("text", ["0a1", "", "01 ", "0b1", "0_1", "2"])
-def test_from01_rejects_non_binary_text(text):
+        BitSequence(4, -1)
     with pytest.raises(ValueError):
-        BitSequence.from01(text)
-
-
-def test_from_int_range_checked():
-    assert BitSequence.from_int(4, 0b0110) == BitSequence((0, 1, 1, 0))
-    with pytest.raises(ValueError):
-        BitSequence.from_int(4, -1)
-    with pytest.raises(ValueError):
-        BitSequence.from_int(4, 1 << 4)
-    with pytest.raises(ValueError):
-        BitSequence.from_int(0, 0)
+        BitSequence(4, 1 << 4)
+    assert BitSequence(4, 0b0110) == seq_of((0, 1, 1, 0))
+    seq = seq_of((0, 1, 1))
+    assert seq.length == 3 and seq.to01() == "011"
 
 
 def test_shift_set_normalizes_and_validates():
     s = ShiftSet((11, 0, 7, 22))
     assert s.shifts == (0, 7, 11, 22)
-    assert s.added == (7, 11, 22)
-    assert s.added_count == 3
+    assert s.shifts[1:] == (7, 11, 22)
+    assert len(s.shifts) - 1 == 3
     with pytest.raises(ValueError):
         ShiftSet((0, 1, 1))
     with pytest.raises(ValueError):
@@ -103,7 +90,7 @@ def test_d_sequence_modulus_above_sieve_cap():
     # DSequenceSpec alone settles q, so a modulus past the sieve's 2^24 cap works
     q = 16777259  # the smallest prime above 2^24
     seq = d_sequence(DSequenceSpec(q=q, length=40))
-    assert list(seq.bits) == oracle_d_bits(q, 40)
+    assert list(bits_of(seq)) == oracle_d_bits(q, 40)
 
 
 def test_d_sequence_modulus_cap_refuses_before_trial_division(monkeypatch):
@@ -133,7 +120,7 @@ def test_d_sequence_period_matches_brute_force_and_divides(q):
     assert t == oracle_mult_order_of_two(q)
     assert (q - 1) % t == 0
     seq = d_sequence(DSequenceSpec(q=q, length=2 * t))
-    assert seq.bits[:t] == seq.bits[t:]
+    assert bits_of(seq)[:t] == bits_of(seq)[t:]
 
 
 def test_d_sequence_period_rejects_bad_modulus():
@@ -148,7 +135,7 @@ def test_d_sequence_period_rejects_bad_modulus():
 def test_bps_table1_sum_row():
     seq = binary_primes_sequence(10, ShiftSet((0, 1)))
     assert seq.to01() == "0101111100"
-    assert sum(seq.bits) == 6
+    assert sum(bits_of(seq)) == 6
 
 
 def test_bps_identity_shift_set():
@@ -160,9 +147,9 @@ def test_bps_two_added_shifts_from_xor_oracle():
     prime_set = set(oracle_primes_upto(10))
     expected = oracle_bps_bits(10, (0, 1, 2), prime_set)
     seq = binary_primes_sequence(10, ShiftSet((0, 1, 2)))
-    assert list(seq.bits) == expected
+    assert list(bits_of(seq)) == expected
     assert seq.to01() == "0100010110"
-    assert sum(seq.bits) == 4
+    assert sum(bits_of(seq)) == 4
 
 
 @given(
@@ -176,7 +163,7 @@ def test_bps_matches_oracle(n, data):
     )
     shift_set = ShiftSet((0, *added))
     prime_set = set(oracle_primes_upto(n))
-    assert list(binary_primes_sequence(n, shift_set).bits) == oracle_bps_bits(
+    assert list(bits_of(binary_primes_sequence(n, shift_set))) == oracle_bps_bits(
         n, shift_set.shifts, prime_set
     )
 
@@ -214,9 +201,9 @@ def test_bps_zero_fill_prefix():
     # a row shifted by s is zero through position s + 1 (nothing below the
     # first prime at position 2 can contribute): B over (0, s) agrees with the
     # unshifted row there
-    base = binary_primes_sequence(50, ShiftSet((0,))).bits
+    base = bits_of(binary_primes_sequence(50, ShiftSet((0,))))
     for s in (1, 3, 7):
-        row = binary_primes_sequence(50, ShiftSet((0, s))).bits
+        row = bits_of(binary_primes_sequence(50, ShiftSet((0, s))))
         assert row[: s + 1] == base[: s + 1]
         assert row[s + 1] != base[s + 1]
 
@@ -229,13 +216,13 @@ def test_bps_first_position_always_zero(data):
         st.lists(st.integers(min_value=1, max_value=n - 1), min_size=0, max_size=3, unique=True)
     )
     seq = binary_primes_sequence(n, ShiftSet((0, *added)))
-    assert seq.bits[0] == 0
+    assert bits_of(seq)[0] == 0
 
 
 # --- hardening ---------------------------------------------------------------
 
 def test_harden_example():
-    pn = BitSequence((0, 0, 0, 1, 0, 0, 1, 1, 1, 0))
+    pn = seq_of((0, 0, 0, 1, 0, 0, 1, 1, 1, 0))
     bps = binary_primes_sequence(10, ShiftSet((0, 1)))
     assert harden(pn, bps).to01() == "0100110010"
 
@@ -244,57 +231,39 @@ def test_harden_example():
 def test_harden_involution(x, y):
     if len(x) != len(y):
         with pytest.raises(ValueError):
-            harden(BitSequence(x), BitSequence(y))
+            harden(seq_of(x), seq_of(y))
         return
-    a, b = BitSequence(x), BitSequence(y)
-    assert harden(harden(a, b), b).bits == a.bits
-    assert harden(a, BitSequence((0,) * len(x))).bits == a.bits
-    assert harden(a, a).bits == (0,) * len(x)
+    a, b = seq_of(x), seq_of(y)
+    assert bits_of(harden(harden(a, b), b)) == bits_of(a)
+    assert bits_of(harden(a, seq_of((0,) * len(x)))) == bits_of(a)
+    assert bits_of(harden(a, a)) == (0,) * len(x)
 
 
 # --- shift selection ---------------------------------------------------------
 
-def test_select_shifts_explicit():
-    assert select_shifts(199, 3, "explicit", explicit_values=(0, 7, 11, 22)).shifts == (0, 7, 11, 22)
-    assert select_shifts(997, 3, "explicit", explicit_values=(0, 11, 77, 111)).shifts == (0, 11, 77, 111)
-
-
-def test_select_shifts_explicit_errors():
-    with pytest.raises(ValueError):
-        select_shifts(10, 1, "explicit")
-    with pytest.raises(ValueError):
-        select_shifts(10, 2, "explicit", explicit_values=(0, 1))
-    with pytest.raises(ValueError):
-        select_shifts(10, 1, "explicit", explicit_values=(0, 10))
-    with pytest.raises(ValueError):
-        select_shifts(10, 1, "explicit", explicit_values=(1, 4))
-
-
 def test_select_shifts_evenly_spaced_midpoint():
-    assert select_shifts(10, 1, "evenly-spaced").shifts == (0, 5)
+    assert select_shifts(10, 1).shifts == (0, 5)
 
 
 def test_select_shifts_evenly_spaced_properties():
     for n, l in ((10, 3), (100, 4), (997, 3), (6, 5)):
-        s = select_shifts(n, l, "evenly-spaced")
-        assert s.added_count == l
+        s = select_shifts(n, l)
+        assert len(s.shifts) - 1 == l
         assert max(s.shifts) < n
 
 
 def test_select_shifts_uniform_random_deterministic():
-    a = select_shifts(100, 4, "uniform-random", seed=7)
-    b = select_shifts(100, 4, "uniform-random", seed=7)
+    a = select_shifts(100, 4, seed=7)
+    b = select_shifts(100, 4, seed=7)
     assert a == b
-    assert a.added_count == 4 and max(a.shifts) < 100
+    assert len(a.shifts) - 1 == 4 and max(a.shifts) < 100
 
 
 def test_select_shifts_bounds():
     with pytest.raises(ValueError):
-        select_shifts(10, 10, "evenly-spaced")
+        select_shifts(10, 10)
     with pytest.raises(ValueError):
-        select_shifts(10, 0, "evenly-spaced")
-    with pytest.raises(ValueError):
-        select_shifts(10, 1, "bogus")
+        select_shifts(10, 0)
 
 
 # --- balancing claim ---------------------------------------------------------
@@ -308,24 +277,24 @@ def test_balance_improvement_at_recommended_shifts():
 
     for n in (100, 199, 500, 997, 2000):
         raw = binary_primes_sequence(n, ShiftSet((0,)))
-        raw_frac = sum(raw.bits) / n
+        raw_frac = sum(bits_of(raw)) / n
         assert raw_frac < 0.3
-        shift_set = select_shifts(n, recommended_shift_count(n), "evenly-spaced")
+        shift_set = select_shifts(n, recommended_shift_count(n))
         mixed = binary_primes_sequence(n, shift_set)
-        assert sum(mixed.bits) / n > raw_frac
+        assert sum(bits_of(mixed)) / n > raw_frac
 
 
 def test_balance_of_published_shift_sets():
     b199 = binary_primes_sequence(199, ShiftSet((0, 7, 11, 22)))
     b997 = binary_primes_sequence(997, ShiftSet((0, 11, 77, 111)))
-    assert 0.35 <= sum(b199.bits) / 199 <= 0.65
-    assert 0.35 <= sum(b997.bits) / 997 <= 0.65
+    assert 0.35 <= sum(bits_of(b199)) / 199 <= 0.65
+    assert 0.35 <= sum(bits_of(b997)) / 997 <= 0.65
 
 
 # --- text format -------------------------------------------------------------
 
 def test_format_and_parse_round_trip():
-    seq = BitSequence((0, 1, 1, 0, 1), label="demo run")
+    seq = seq_of((0, 1, 1, 0, 1), label="demo run")
     text = format_sequence(seq, {"kind": "bps", "n": 5})
     assert text.startswith("# kind=bps\n# n=5\n# label=demo run\n")
     assert parse_sequence(text) == seq
@@ -362,18 +331,18 @@ label_st = st.text(
 @given(bits=bits_st, label=label_st)
 @settings(max_examples=80)
 def test_round_trip_property(bits, label):
-    seq = BitSequence(bits, label=label.strip())
+    seq = seq_of(bits, label=label.strip())
     assert parse_sequence(format_sequence(seq)) == seq
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
 def test_format_rejects_line_breaks_in_metadata(brk):
     with pytest.raises(ValueError, match="line break"):
-        format_sequence(BitSequence((1,), label=f"x{brk}0110"))
+        format_sequence(seq_of((1,), label=f"x{brk}0110"))
     with pytest.raises(ValueError, match="line break"):
-        format_sequence(BitSequence((1,)), {f"k{brk}": 1})
+        format_sequence(seq_of((1,)), {f"k{brk}": 1})
     with pytest.raises(ValueError, match="line break"):
-        format_sequence(BitSequence((1,)), {"k": f"v{brk}"})
+        format_sequence(seq_of((1,)), {"k": f"v{brk}"})
 
 
 # --- packed paths at a size spanning many int digits ---------------------------
@@ -383,16 +352,16 @@ N_LARGE = 10007
 
 def test_d_sequence_large_matches_oracle():
     seq = d_sequence(DSequenceSpec(q=N_LARGE, length=N_LARGE))
-    assert list(seq.bits) == oracle_d_bits(N_LARGE, N_LARGE)
+    assert list(bits_of(seq)) == oracle_d_bits(N_LARGE, N_LARGE)
 
 
 def test_large_sequence_paths_match_oracle():
-    shift_set = select_shifts(N_LARGE, 7, "uniform-random", seed=3)
+    shift_set = select_shifts(N_LARGE, 7, seed=3)
     bps = binary_primes_sequence(N_LARGE, shift_set)
-    assert list(bps.bits) == oracle_bps_bits(N_LARGE, shift_set.shifts, set(oracle_primes_upto(N_LARGE)))
+    assert list(bits_of(bps)) == oracle_bps_bits(N_LARGE, shift_set.shifts, set(oracle_primes_upto(N_LARGE)))
     pn = d_sequence(DSequenceSpec(q=N_LARGE, length=N_LARGE))
     hardened = harden(pn, bps)
-    assert hardened.bits == tuple(a ^ b for a, b in zip(pn.bits, bps.bits))
-    assert harden(hardened, bps).bits == pn.bits
+    assert bits_of(hardened) == tuple(a ^ b for a, b in zip(bits_of(pn), bits_of(bps)))
+    assert bits_of(harden(hardened, bps)) == bits_of(pn)
     assert parse_sequence(format_sequence(hardened)) == hardened
-    assert balance(hardened) == sum(hardened.bits) / N_LARGE
+    assert balance(hardened) == sum(bits_of(hardened)) / N_LARGE
