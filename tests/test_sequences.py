@@ -32,15 +32,19 @@ bits_st = st.lists(st.sampled_from((0, 1)), min_size=1, max_size=64).map(tuple)
 # --- BitSequence / ShiftSet / DSequenceSpec -------------------------------
 
 def test_bit_sequence_validation():
-    with pytest.raises(ValueError):
-        BitSequence(0, 0)
+    seq = seq_of((0, 1, 1))
+    assert seq.length == 3 and seq.to01() == "011"
+    assert BitSequence(3, 0b011, label="x") == BitSequence(3, 0b011, label="x")
+
+
+def test_from_int_range_checked():
+    assert BitSequence(4, 0b0110) == seq_of((0, 1, 1, 0))
     with pytest.raises(ValueError):
         BitSequence(4, -1)
     with pytest.raises(ValueError):
         BitSequence(4, 1 << 4)
-    assert BitSequence(4, 0b0110) == seq_of((0, 1, 1, 0))
-    seq = seq_of((0, 1, 1))
-    assert seq.length == 3 and seq.to01() == "011"
+    with pytest.raises(ValueError):
+        BitSequence(0, 0)
 
 
 def test_shift_set_normalizes_and_validates():
