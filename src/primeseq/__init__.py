@@ -14,7 +14,6 @@ from .primes import (
 )
 from .sequences import (
     BitSequence,
-    DSequenceSpec,
     ShiftSet,
     binary_primes_sequence,
     d_sequence,
@@ -55,7 +54,6 @@ __all__ = [
     "CorrelationConvention",
     "CorrelationSeries",
     "DEFAULT_CONVENTION",
-    "DSequenceSpec",
     "PrimeTable",
     "SearchSpaceEstimate",
     "ShiftSet",

@@ -15,8 +15,8 @@ import sys
 from dataclasses import dataclass
 from itertools import combinations
 
-from .primes import count_primes, is_prime
-from .sequences import BitSequence, DSequenceSpec, ShiftSet, binary_primes_sequence, d_sequence
+from .primes import count_primes, sieve_primes
+from .sequences import BitSequence, ShiftSet, binary_primes_sequence, d_sequence
 
 # Enumeration caps. At n = 24, l_max = 3 the attack XORs 2047 shift sets and
 # looks up 9 candidates: about 1 ms in brute_force_attack and 3 ms for CLI
@@ -39,7 +39,6 @@ class SearchSpaceEstimate:
 class AttackResult:
     consistent_hypotheses: tuple[tuple[int, ShiftSet], ...]
     hypotheses_tested: int
-    target_length: int
 
     def as_dict(self) -> dict[str, object]:
         # wire format: the hypothesis array plus the count, nothing else
@@ -90,15 +89,12 @@ def exact_hypothesis_count(n: int, l_max: int) -> int:
 def _candidate_primes(n: int) -> list[int]:
     # The number of candidates is pi(n); their identities start at the
     # smallest prime >= n, since a D-sequence modulus below its own emitted
-    # length would repeat inside the window.
-    want = count_primes(n)
-    out: list[int] = []
-    q = n
-    while len(out) < want:
-        if is_prime(q):
-            out.append(q)
-        q += 1
-    return out
+    # length would repeat inside the window. One sieve to 3n gives both: the
+    # last candidate is at most 2.65n for every n in 3..1999 (checked against
+    # trial division), and the attack caps n at ATTACK_MAX_LENGTH.
+    flags = sieve_primes(3 * n).is_prime
+    want = sum(flags[: n + 1])
+    return [q for q in range(n, 3 * n + 1) if flags[q]][:want]
 
 
 def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
@@ -145,21 +141,25 @@ def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
     candidates = _candidate_primes(n)
     matches: list[tuple[int, ShiftSet]] = []
     for q in candidates:
-        residual = target ^ d_sequence(DSequenceSpec(q, n)).value ^ base
+        residual = target ^ d_sequence(q, n).value ^ base
         matches.extend((q, ShiftSet((0, *added))) for added in by_xor.get(residual, ()))
     matches.sort(key=lambda h: (h[0], h[1].shifts))
-    return AttackResult(tuple(matches), len(candidates) * shift_sets, n)
+    return AttackResult(tuple(matches), len(candidates) * shift_sets)
 
 
 def estimate_search_space(n: int, l_max: int = ATTACK_MAX_ADDED_SHIFTS) -> SearchSpaceEstimate:
     """Assemble both log-domain figures plus the exact count where tractable.
 
     The exact count is attached only for n small enough that the toy attack
-    could actually walk the space (n <= ATTACK_MAX_LENGTH).
+    could actually walk the space (n <= ATTACK_MAX_LENGTH). l_max below 1 is
+    refused for every n; above n - 1 it is clamped to n - 1.
     """
     paper = search_space_log10_paper(n)
     consistent = search_space_log10_consistent(n)
     exact: int | None = None
     if n <= ATTACK_MAX_LENGTH:
         exact = exact_hypothesis_count(n, min(l_max, n - 1))
+    elif l_max < 1:
+        # exact_hypothesis_count checks l_max where it runs; here nothing else does
+        raise ValueError(f"l_max must be >= 1, got {l_max}")
     return SearchSpaceEstimate(paper, consistent, exact)

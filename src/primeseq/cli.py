@@ -13,10 +13,9 @@ from pathlib import Path
 from .adversary import brute_force_attack, estimate_search_space
 from .analysis import CorrelationConvention, analyze
 from .primes import DEFAULT_SIEVE_LIMIT, recommended_shift_count
-from .reproduce import TARGET_IDS, make_target, run_target
+from .reproduce import TARGET_IDS, make_target, run_target, write_correlation_csv
 from .sequences import (
     BitSequence,
-    DSequenceSpec,
     ShiftSet,
     binary_primes_sequence,
     d_sequence,
@@ -72,10 +71,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.q is None:
             raise ValueError("gen dseq requires --q")
         length = args.len if args.len is not None else args.q
-        # q is never sieved; its cap bounds the trial division in DSequenceSpec
+        # q is never sieved; its cap bounds the trial division in d_sequence
         _check_size("q", args.q)
         _check_size("len", length)
-        seq = d_sequence(DSequenceSpec(q=args.q, length=length))
+        seq = d_sequence(args.q, length)
         meta = {"kind": "dseq", "q": args.q, "n": length}
     elif args.kind == "bps":
         if args.n is None:
@@ -92,7 +91,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         _check_size("q", args.q)
         _check_size("len", length)
         shifts = _resolve_shifts(length, args.shifts, args.seed)
-        pn = d_sequence(DSequenceSpec(q=args.q, length=length))
+        pn = d_sequence(args.q, length)
         bps = binary_primes_sequence(length, shifts)
         seq = harden(pn, bps)
         meta = {"kind": "hardened", "q": args.q, "n": length,
@@ -109,10 +108,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze(seq, conv)
     print(json.dumps(report.as_dict()))
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write("lag,c\n")
-            for lag, value in enumerate(report.correlation.values):
-                fh.write(f"{lag},{format(value, '.10g')}\n")
+        write_correlation_csv(args.out, report.correlation)
     return EXIT_OK
 
 

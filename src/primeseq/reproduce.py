@@ -25,7 +25,6 @@ from .analysis import (
 from .primes import recommended_shift_count, sieve_primes
 from .sequences import (
     BitSequence,
-    DSequenceSpec,
     ShiftSet,
     binary_primes_sequence,
     d_sequence,
@@ -78,6 +77,14 @@ def run_target(target: ReproductionTarget) -> dict[str, object]:
 
 def _fmt(value: float) -> str:
     return format(value, ".10g")
+
+
+def write_correlation_csv(path: str | Path, series: CorrelationSeries) -> None:
+    """Write the ``lag,c`` CSV of a correlation series, one line per lag."""
+    with open(path, "w", newline="") as fh:
+        fh.write("lag,c\n")
+        for lag, value in enumerate(series.values):
+            fh.write(f"{lag},{format(value, '.10g')}\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
@@ -151,10 +158,6 @@ def _run_fig1(target: ReproductionTarget) -> dict[str, object]:
     }
 
 
-def _correlation_rows(corr: CorrelationSeries) -> list[list[object]]:
-    return [[lag, _fmt(v)] for lag, v in enumerate(corr.values)]
-
-
 def _offpeak_all_conventions(seq: BitSequence, reference: float) -> list[dict[str, object]]:
     records = []
     for conv in all_conventions():
@@ -176,7 +179,7 @@ def _run_fig2(target: ReproductionTarget) -> dict[str, object]:
     n, shifts = 997, (0, 11, 77, 111)
     seq = binary_primes_sequence(n, ShiftSet(shifts))
     corr = autocorrelation(seq, DEFAULT_CONVENTION)
-    _write_csv(target.output_path, ["lag", "c"], _correlation_rows(corr))
+    write_correlation_csv(target.output_path, corr)
     return {
         "target": "fig2",
         "n": n,
@@ -225,10 +228,10 @@ def _run_fig3(target: ReproductionTarget) -> dict[str, object]:
 
 
 def _run_hardened_fig(target: ReproductionTarget, q: int, shifts: tuple[int, ...]) -> dict[str, object]:
-    pn = d_sequence(DSequenceSpec(q=q, length=q))
+    pn = d_sequence(q, q)
     bps = binary_primes_sequence(q, ShiftSet(shifts))
     hardened_corr = autocorrelation(harden(pn, bps), DEFAULT_CONVENTION)
-    _write_csv(target.output_path, ["lag", "c"], _correlation_rows(hardened_corr))
+    write_correlation_csv(target.output_path, hardened_corr)
     max_p, mean_p = off_peak_stats(hardened_corr)
     max_d, mean_d = off_peak_stats(autocorrelation(pn, DEFAULT_CONVENTION))
     return {
@@ -252,7 +255,7 @@ def _run_fig6(target: ReproductionTarget) -> dict[str, object]:
     for p in primes:
         shift_set = select_shifts(p, recommended_shift_count(p))
         bps = binary_primes_sequence(p, shift_set)
-        pn = d_sequence(DSequenceSpec(q=p, length=p))
+        pn = d_sequence(p, p)
         hardened = harden(pn, bps)
         _, mean_b = off_peak_stats(autocorrelation(bps, DEFAULT_CONVENTION))
         _, mean_p = off_peak_stats(autocorrelation(hardened, DEFAULT_CONVENTION))

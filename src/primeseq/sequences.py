@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .primes import is_prime, sieve_primes
+from .primes import DEFAULT_SIEVE_LIMIT, is_prime, sieve_primes
 
 # Largest D-sequence modulus accepted: its trial-division primality check takes
 # about 0.05 s here on a 2-vCPU Xeon and grows with sqrt(q) beyond.
@@ -65,29 +65,20 @@ class ShiftSet:
         object.__setattr__(self, "shifts", shifts)
 
 
-@dataclass(frozen=True)
-class DSequenceSpec:
-    """Parameters for a D-sequence: odd prime modulus q and emitted length."""
-
-    q: int
-    length: int
-
-    def __post_init__(self) -> None:
-        _check_modulus(self.q)
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
-
-
-def d_sequence(spec: DSequenceSpec) -> BitSequence:
+def d_sequence(q: int, length: int) -> BitSequence:
     """Parity trace of the powers of two modulo q: bit i is (2^i mod q) mod 2.
 
     For odd q that parity is the i-th binary digit of 1/q, so the first
     ``length`` bits are floor(2^length / q). The result is periodic with
-    period ord_q(2).
+    period ord_q(2). ``length`` is capped at the sieve's DEFAULT_SIEVE_LIMIT,
+    the most a binary primes sequence it is hardened with can have.
     """
-    return BitSequence(
-        spec.length, (1 << spec.length) // spec.q, label=f"dseq(q={spec.q},len={spec.length})"
-    )
+    _check_modulus(q)
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    if length > DEFAULT_SIEVE_LIMIT:
+        raise ValueError(f"length {length} exceeds supported maximum {DEFAULT_SIEVE_LIMIT}")
+    return BitSequence(length, (1 << length) // q)
 
 
 def d_sequence_period(q: int) -> int:
@@ -136,8 +127,7 @@ def binary_primes_sequence(n: int, shift_set: ShiftSet) -> BitSequence:
     value = 0
     for a in shift_set.shifts:
         value ^= row >> a
-    shifts_text = ",".join(str(s) for s in shift_set.shifts)
-    return BitSequence(n, value, label=f"bps(n={n},shifts={shifts_text})")
+    return BitSequence(n, value)
 
 
 def harden(pn: BitSequence, bps: BitSequence) -> BitSequence:
@@ -147,9 +137,7 @@ def harden(pn: BitSequence, bps: BitSequence) -> BitSequence:
     """
     if pn.length != bps.length:
         raise ValueError(f"length mismatch: {pn.length} != {bps.length}")
-    return BitSequence(
-        pn.length, pn.value ^ bps.value, label=f"hardened({pn.label or 'pn'},{bps.label or 'bps'})"
-    )
+    return BitSequence(pn.length, pn.value ^ bps.value)
 
 
 def select_shifts(n: int, l: int, seed: int | None = None) -> ShiftSet:

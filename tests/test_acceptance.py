@@ -27,7 +27,6 @@ import pytest
 
 from primeseq import (
     DEFAULT_CONVENTION,
-    DSequenceSpec,
     ShiftSet,
     autocorrelation,
     binary_primes_sequence,
@@ -250,14 +249,14 @@ def test_c08_d_sequence_properties():
         for q in (3, 5, 7, 11, 13, 19, 199, 997):
             t = d_sequence_period(q)
             assert (q - 1) % t == 0
-            seq = d_sequence(DSequenceSpec(q=q, length=2 * t))
+            seq = d_sequence(q, 2 * t)
             assert bits_of(seq)[:t] == bits_of(seq)[t:]
-        assert d_sequence(DSequenceSpec(q=13, length=12)).to01() == "000100111011"
+        assert d_sequence(13, 12).to01() == "000100111011"
 
 
 def test_c09_adversary_soundness_completeness():
     with criterion("9", "toy attack recovers the planted key and counts 36 / 180 hypotheses", 10.0):
-        pn = d_sequence(DSequenceSpec(q=13, length=10))
+        pn = d_sequence(13, 10)
         observed = harden(pn, binary_primes_sequence(10, ShiftSet((0, 1))))
         result = brute_force_attack(observed, 1)
         assert (13, ShiftSet((0, 1))) in result.consistent_hypotheses

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from primeseq import (
-    DSequenceSpec,
     ShiftSet,
     binary_primes_sequence,
     brute_force_attack,
@@ -17,6 +16,7 @@ from primeseq import (
     search_space_log10_consistent,
     search_space_log10_paper,
 )
+from primeseq.adversary import ATTACK_MAX_LENGTH
 from conftest import (
     bits_of,
     oracle_attack_moduli,
@@ -112,7 +112,7 @@ def test_exact_hypothesis_count_bounds():
 # --- toy attack ----------------------------------------------------------------
 
 def planted_instance(q=13, added=(1,), n=10):
-    pn = d_sequence(DSequenceSpec(q=q, length=n))
+    pn = d_sequence(q, n)
     bps = binary_primes_sequence(n, ShiftSet((0, *added)))
     return harden(pn, bps)
 
@@ -122,7 +122,6 @@ def test_attack_recovers_planted_instance():
     result = brute_force_attack(observed, 1)
     assert result.hypotheses_tested == 36
     assert (13, ShiftSet((0, 1))) in result.consistent_hypotheses
-    assert result.target_length == 10
 
 
 def test_attack_count_matches_exact_count():
@@ -139,7 +138,7 @@ def test_attack_soundness():
     result = brute_force_attack(observed, 2)
     assert result.consistent_hypotheses
     for q, shift_set in result.consistent_hypotheses:
-        pn = d_sequence(DSequenceSpec(q=q, length=12))
+        pn = d_sequence(q, 12)
         bps = binary_primes_sequence(12, shift_set)
         assert bits_of(harden(pn, bps)) == bits_of(observed)
 
@@ -156,7 +155,7 @@ def test_attack_all_zeros_observed():
     result = brute_force_attack(observed, 2)
     assert result.hypotheses_tested == 180
     for q, shift_set in result.consistent_hypotheses:
-        pn = d_sequence(DSequenceSpec(q=q, length=10))
+        pn = d_sequence(q, 10)
         bps = binary_primes_sequence(10, shift_set)
         assert bits_of(harden(pn, bps)) == bits_of(observed)
 
@@ -179,7 +178,6 @@ def test_attack_instance_too_large():
 
 def test_attack_result_dict_shape():
     result = brute_force_attack(planted_instance(), 1)
-    assert result.target_length == 10
     payload = result.as_dict()
     assert sorted(payload) == ["consistent_hypotheses", "hypotheses_tested"]
     assert payload["hypotheses_tested"] == 36
@@ -190,6 +188,17 @@ def oracle_planted_bits(q, shifts, n):
     d = oracle_d_bits(q, n)
     b = oracle_bps_bits(n, shifts, set(oracle_primes_upto(n)))
     return [x ^ y for x, y in zip(d, b)]
+
+
+def test_attack_recovers_key_on_last_candidate_modulus():
+    # the largest candidate modulus is the one nearest the end of the sieve
+    # the candidates come from, at every length the attack accepts
+    for n in range(3, ATTACK_MAX_LENGTH + 1):
+        q = oracle_attack_moduli(n)[-1]
+        bits = oracle_planted_bits(q, (0, 1), n)
+        result = brute_force_attack(seq_of(bits), 1)
+        assert (q, ShiftSet((0, 1))) in result.consistent_hypotheses
+        assert result.hypotheses_tested == oracle_brute_force(bits, 1)["hypotheses_tested"]
 
 
 @given(data=st.data())

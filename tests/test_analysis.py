@@ -7,7 +7,6 @@ from primeseq import (
     BitSequence,
     CorrelationConvention,
     DEFAULT_CONVENTION,
-    DSequenceSpec,
     ShiftSet,
     all_conventions,
     analyze,
@@ -33,7 +32,7 @@ bits_st = st.lists(st.sampled_from((0, 1)), min_size=2, max_size=64).map(tuple)
 
 
 def _hardened_bits(q, shifts):
-    pn = d_sequence(DSequenceSpec(q=q, length=q))
+    pn = d_sequence(q, q)
     return bits_of(harden(pn, binary_primes_sequence(q, ShiftSet(shifts))))
 
 
@@ -168,7 +167,7 @@ def test_lag_sum_invariants_at_length_cap():
     # no oracle runs this far; check the identities every lag-sum vector obeys
     n = ANALYSIS_MAX_LENGTH
     assert n == 1 << 20
-    pn = d_sequence(DSequenceSpec(q=1048573, length=n))
+    pn = d_sequence(1048573, n)
     x = harden(pn, binary_primes_sequence(n, ShiftSet((0, 5, 1000, 77777)))).value
     sums = analysis._cyclic_lag_sums(x, n)
     m = x.bit_count()
@@ -274,9 +273,9 @@ def test_analyze_all_ones():
 
 
 def test_analyze_matches_oracle_on_d13():
-    from primeseq import DSequenceSpec, d_sequence
+    from primeseq import d_sequence
 
-    seq = d_sequence(DSequenceSpec(q=13, length=12))
+    seq = d_sequence(13, 12)
     report = analyze(seq)
     oracle = oracle_autocorrelation(bits_of(seq))
     max_off, mean_off = oracle_offpeak(oracle)

@@ -263,6 +263,22 @@ def test_complexity_refuses_n_whose_square_overflows_a_double(capsys):
         assert "exceeds supported maximum" in err
 
 
+def test_complexity_refuses_l_max_below_one_at_large_n(capsys):
+    for l_max in ("0", "-5"):
+        code, out, err = run_cli(capsys, "complexity", "--n", "1000", "--l-max", l_max)
+        assert code == 3 and out == ""
+        assert err == f"error: l_max must be >= 1, got {l_max}\n"
+
+
+def test_complexity_clamps_l_max_above_n_minus_one(capsys):
+    code, out, _ = run_cli(capsys, "complexity", "--n", "5", "--l-max", "9")
+    assert code == 0
+    assert out == (
+        '{"log10_paper_formula": 3.061708195033197, '
+        '"log10_consistent_formula": 0.9604144209883457, "exact_count": 45}\n'
+    )
+
+
 def test_attack_planted_instance(tmp_path, capsys):
     target = tmp_path / "obs.txt"
     run_cli(capsys, "gen", "hardened", "--q", "13", "--len", "10", "--shifts", "0,1",

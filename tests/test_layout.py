@@ -2,7 +2,7 @@
 
 The package depends on the standard library only, keeps each module's
 private names to itself, exports exactly what ``__init__`` binds and defines
-no public method or property that it never reads itself.
+no public method, property or dataclass field that it never reads itself.
 """
 import ast
 import subprocess
@@ -72,17 +72,28 @@ def test_cli_start_up_does_not_import_decimal():
     assert result.stdout == "False\n"
 
 
-def test_every_public_method_is_read_in_the_package():
-    # a method or property that only the tests reach is surface to delete
+def _unread_class_members(member_name):
+    # (class, member) pairs named by member_name over class-body statements,
+    # less those read as an attribute anywhere in the package
     defined, read = set(), set()
     for tree in _modules().values():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
-                defined |= {
-                    (node.name, item.name) for item in node.body
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
-                }
+                defined |= {(node.name, name) for item in node.body if (name := member_name(item))}
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    unread = sorted(f"{cls}.{name}" for cls, name in defined if name not in read)
+    return sorted(f"{cls}.{name}" for cls, name in defined if name not in read)
+
+
+def test_every_public_method_is_read_in_the_package():
+    # a method or property that only the tests reach is surface to delete
+    unread = _unread_class_members(
+        lambda item: item.name if isinstance(item, ast.FunctionDef) and not item.name.startswith("_") else None
+    )
+    assert not unread, f"never read in the package: {unread}"
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    # a field nothing reads is state carried for no one
+    unread = _unread_class_members(lambda item: item.target.id if isinstance(item, ast.AnnAssign) else None)
     assert not unread, f"never read in the package: {unread}"

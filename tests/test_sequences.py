@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from primeseq import (
     BitSequence,
     balance,
-    DSequenceSpec,
     ShiftSet,
     binary_primes_sequence,
     d_sequence,
@@ -29,7 +28,7 @@ from conftest import (
 bits_st = st.lists(st.sampled_from((0, 1)), min_size=1, max_size=64).map(tuple)
 
 
-# --- BitSequence / ShiftSet / DSequenceSpec -------------------------------
+# --- BitSequence / ShiftSet / d_sequence arguments ------------------------
 
 def test_bit_sequence_validation():
     seq = seq_of((0, 1, 1))
@@ -62,11 +61,11 @@ def test_shift_set_normalizes_and_validates():
 
 def test_d_sequence_spec_validation():
     with pytest.raises(ValueError):
-        DSequenceSpec(q=2, length=4)
+        d_sequence(2, 4)
     with pytest.raises(ValueError):
-        DSequenceSpec(q=4, length=4)
+        d_sequence(4, 4)
     with pytest.raises(ValueError):
-        DSequenceSpec(q=13, length=0)
+        d_sequence(13, 0)
 
 
 # --- D-sequences -----------------------------------------------------------
@@ -80,21 +79,33 @@ def test_d_sequence_spec_validation():
     ],
 )
 def test_d_sequence_frozen_examples(q, length, expected):
-    seq = d_sequence(DSequenceSpec(q=q, length=length))
+    seq = d_sequence(q, length)
     assert seq.to01() == expected
     assert [int(c) for c in expected] == oracle_d_bits(q, length)
 
 
 def test_d_sequence_rejects_composite_odd_modulus():
     with pytest.raises(ValueError):
-        DSequenceSpec(q=9, length=4)
+        d_sequence(9, 4)
 
 
 def test_d_sequence_modulus_above_sieve_cap():
-    # DSequenceSpec alone settles q, so a modulus past the sieve's 2^24 cap works
+    # d_sequence settles q by trial division, so a modulus past the sieve's 2^24 cap works
     q = 16777259  # the smallest prime above 2^24
-    seq = d_sequence(DSequenceSpec(q=q, length=40))
+    seq = d_sequence(q, 40)
     assert list(bits_of(seq)) == oracle_d_bits(q, 40)
+
+
+def test_d_sequence_length_capped_at_sieve_limit():
+    with pytest.raises(ValueError, match="exceeds supported maximum 16777216"):
+        d_sequence(3, (1 << 24) + 1)
+    assert d_sequence(3, 1 << 24).length == 1 << 24
+
+
+def test_generated_sequences_carry_no_label():
+    pn = d_sequence(13, 10)
+    bps = binary_primes_sequence(10, ShiftSet((0, 1)))
+    assert pn.label == bps.label == harden(pn, bps).label == ""
 
 
 def test_d_sequence_modulus_cap_refuses_before_trial_division(monkeypatch):
@@ -108,7 +119,7 @@ def test_d_sequence_modulus_cap_refuses_before_trial_division(monkeypatch):
 
     monkeypatch.setattr(sequences, "is_prime", trial_division)
     with pytest.raises(ValueError, match=f"exceeds supported maximum {D_SEQUENCE_MAX_MODULUS}"):
-        DSequenceSpec(q=q, length=64)
+        d_sequence(q, 64)
     with pytest.raises(ValueError, match=f"exceeds supported maximum {D_SEQUENCE_MAX_MODULUS}"):
         d_sequence_period(q)
 
@@ -123,7 +134,7 @@ def test_d_sequence_period_matches_brute_force_and_divides(q):
     t = d_sequence_period(q)
     assert t == oracle_mult_order_of_two(q)
     assert (q - 1) % t == 0
-    seq = d_sequence(DSequenceSpec(q=q, length=2 * t))
+    seq = d_sequence(q, 2 * t)
     assert bits_of(seq)[:t] == bits_of(seq)[t:]
 
 
@@ -355,7 +366,7 @@ N_LARGE = 10007
 
 
 def test_d_sequence_large_matches_oracle():
-    seq = d_sequence(DSequenceSpec(q=N_LARGE, length=N_LARGE))
+    seq = d_sequence(N_LARGE, N_LARGE)
     assert list(bits_of(seq)) == oracle_d_bits(N_LARGE, N_LARGE)
 
 
@@ -363,7 +374,7 @@ def test_large_sequence_paths_match_oracle():
     shift_set = select_shifts(N_LARGE, 7, seed=3)
     bps = binary_primes_sequence(N_LARGE, shift_set)
     assert list(bits_of(bps)) == oracle_bps_bits(N_LARGE, shift_set.shifts, set(oracle_primes_upto(N_LARGE)))
-    pn = d_sequence(DSequenceSpec(q=N_LARGE, length=N_LARGE))
+    pn = d_sequence(N_LARGE, N_LARGE)
     hardened = harden(pn, bps)
     assert bits_of(hardened) == tuple(a ^ b for a, b in zip(bits_of(pn), bits_of(bps)))
     assert bits_of(harden(hardened, bps)) == bits_of(pn)
