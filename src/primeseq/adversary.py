@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .primes import count_primes, sieve_primes
@@ -28,17 +28,14 @@ ATTACK_MAX_ADDED_SHIFTS = 3
 _FORMULA_MAX_N = math.isqrt(int(sys.float_info.max))
 
 
-@dataclass(frozen=True)
-class SearchSpaceEstimate:
-    log10_paper_formula: float
-    log10_consistent_formula: float
-    exact_count: int | None
+class SearchSpaceEstimate(namedtuple(
+    "SearchSpaceEstimate", "log10_paper_formula log10_consistent_formula exact_count"
+)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AttackResult:
-    consistent_hypotheses: tuple[tuple[int, ShiftSet], ...]
-    hypotheses_tested: int
+class AttackResult(namedtuple("AttackResult", "consistent_hypotheses hypotheses_tested")):
+    __slots__ = ()
 
     def as_dict(self) -> dict[str, object]:
         # wire format: the hypothesis array plus the count, nothing else

@@ -8,7 +8,7 @@ divided by the sequence length, which pins the lag-0 peak at exactly 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .sequences import BitSequence
 
@@ -24,18 +24,17 @@ ANALYSIS_MAX_LENGTH = 1 << 20
 LAG_SUM_TRANSFORM_MIN_LENGTH = 4000
 
 
-@dataclass(frozen=True)
-class CorrelationConvention:
-    mapping: str = "bipolar"
-    normalization: str = "by-n"
+class CorrelationConvention(namedtuple("CorrelationConvention", "mapping normalization")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mapping not in MAPPINGS:
-            raise ValueError(f"mapping must be one of {MAPPINGS}, got {self.mapping!r}")
-        if self.normalization not in NORMALIZATIONS:
+    def __new__(cls, mapping: str = "bipolar", normalization: str = "by-n"):
+        if mapping not in MAPPINGS:
+            raise ValueError(f"mapping must be one of {MAPPINGS}, got {mapping!r}")
+        if normalization not in NORMALIZATIONS:
             raise ValueError(
-                f"normalization must be one of {NORMALIZATIONS}, got {self.normalization!r}"
+                f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}"
             )
+        return super().__new__(cls, mapping, normalization)
 
     def as_dict(self) -> dict[str, str]:
         return {"mapping": self.mapping, "normalization": self.normalization}
@@ -50,26 +49,26 @@ def all_conventions() -> tuple[CorrelationConvention, ...]:
     )
 
 
-@dataclass(frozen=True)
-class CorrelationSeries:
+class CorrelationSeries(namedtuple("CorrelationSeries", "values convention")):
     """Cyclic autocorrelation values at lags 0..N-1 under a declared convention."""
 
-    values: tuple[float, ...]
-    convention: CorrelationConvention
+    __slots__ = ()
 
     @property
     def n(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    randomness: float
-    max_offpeak: float
-    mean_offpeak: float
-    ones_fraction: float
-    correlation: CorrelationSeries = field(repr=False)
-    sequence_label: str
+class AnalysisReport(namedtuple(
+    "AnalysisReport",
+    "randomness max_offpeak mean_offpeak ones_fraction correlation sequence_label",
+)):
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        # the correlation series holds one value per lag, too many to print
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields if f != "correlation")
+        return f"AnalysisReport({shown})"
 
     @property
     def convention(self) -> CorrelationConvention:
@@ -154,7 +153,7 @@ def randomness_measure(corr: CorrelationSeries) -> float:
     """1 minus the mean absolute off-peak correlation; 1 is ideal, 0 fully structured."""
     if corr.n < 2:
         raise ValueError(f"series too short: length {corr.n}")
-    r = 1.0 - math.fsum(abs(v) for v in corr.values[1:]) / (corr.n - 1)
+    r = 1.0 - math.fsum(map(abs, corr.values[1:])) / (corr.n - 1)
     # |c| <= 1 under every convention, so r is in [0, 1] bar the last ulp
     return min(1.0, max(0.0, r))
 
@@ -163,10 +162,10 @@ def off_peak_stats(corr: CorrelationSeries) -> tuple[float, float]:
     """(max, mean) of |c(k)| over the off-peak lags 1..N-1."""
     if corr.n < 2:
         raise ValueError(f"series too short: length {corr.n}")
-    mags = [abs(v) for v in corr.values[1:]]
-    mx = max(mags)
+    off = corr.values[1:]
+    mx = max(map(abs, off))
     # exact summation, then clamp: rounding must not push the mean past the max
-    return mx, min(math.fsum(mags) / len(mags), mx)
+    return mx, min(math.fsum(map(abs, off)) / len(off), mx)
 
 
 def balance(seq: BitSequence) -> float:

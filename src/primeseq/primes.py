@@ -8,26 +8,29 @@ so callers must pick the one they mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 # Sieves beyond this are refused; dense tables above 16M positions are out of scope.
 DEFAULT_SIEVE_LIMIT = 1 << 24
 
 
-@dataclass(frozen=True)
-class PrimeTable:
+class PrimeTable(namedtuple("PrimeTable", "limit is_prime")):
     """Primality bitmap for 0..limit; ``is_prime[k]`` is nonzero iff k is prime."""
 
-    limit: int
-    is_prime: bytes = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.limit < 2:
-            raise ValueError(f"prime table limit must be >= 2, got {self.limit}")
-        if len(self.is_prime) != self.limit + 1:
+    def __new__(cls, limit: int, is_prime: bytes):
+        if limit < 2:
+            raise ValueError(f"prime table limit must be >= 2, got {limit}")
+        if len(is_prime) != limit + 1:
             raise ValueError("bitmap length must be limit + 1")
-        if self.is_prime[0] or self.is_prime[1]:
+        if is_prime[0] or is_prime[1]:
             raise ValueError("0 and 1 are not prime")
+        return super().__new__(cls, limit, is_prime)
+
+    def __repr__(self) -> str:
+        # the bitmap holds limit + 1 bytes, too many to print
+        return f"PrimeTable(limit={self.limit!r})"
 
 
 def sieve_primes(limit: int) -> PrimeTable:

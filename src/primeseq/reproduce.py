@@ -7,12 +7,11 @@ flagged rather than silently absorbed.
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from functools import partial
 from pathlib import Path
-from typing import Callable
 
 from .analysis import (
     DEFAULT_CONVENTION,
@@ -57,10 +56,8 @@ FIG3_SHIFTS = (0, 7, 11, 22)
 FIG6_PRIME_RANGE = (40, 650)
 
 
-@dataclass(frozen=True)
-class ReproductionTarget:
-    id: str
-    output_path: Path
+class ReproductionTarget(namedtuple("ReproductionTarget", "id output_path")):
+    __slots__ = ()
 
 
 def make_target(target_id: str, output_path: str | Path | None = None) -> ReproductionTarget:
@@ -88,6 +85,9 @@ def write_correlation_csv(path: str | Path, series: CorrelationSeries) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
+    # imported here so gen, analyze, attack and complexity start without it
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .primes import DEFAULT_SIEVE_LIMIT, is_prime, sieve_primes
 
@@ -22,47 +22,44 @@ D_SEQUENCE_MAX_MODULUS = 1 << 40
 _INDICATOR_TO01 = b"0" + b"1" * 255
 
 
-@dataclass(frozen=True)
-class BitSequence:
+class BitSequence(namedtuple("BitSequence", "length value label")):
     """A finite 0/1 sequence packed into ``value``, with a free-form provenance label.
 
     Position 1 is the most significant of the ``length`` bits, so the binary
     digits of ``value`` padded to ``length`` are the sequence itself.
     """
 
-    length: int
-    value: int
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.length < 1:
+    def __new__(cls, length: int, value: int, label: str = ""):
+        if length < 1:
             raise ValueError("sequence must have at least one bit")
-        if self.value < 0 or self.value >> self.length:
-            raise ValueError(f"value does not fit in {self.length} bits")
+        if value < 0 or value >> length:
+            raise ValueError(f"value does not fit in {length} bits")
+        return super().__new__(cls, length, value, label)
 
     def to01(self) -> str:
         return format(self.value, f"0{self.length}b")
 
 
-@dataclass(frozen=True)
-class ShiftSet:
+class ShiftSet(namedtuple("ShiftSet", "shifts")):
     """Distinct non-negative shift offsets, always containing the unshifted 0.
 
     Stored sorted ascending. The added count L excludes the mandatory 0, so
     a set built from (0, 7, 11, 22) has L = 3.
     """
 
-    shifts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        shifts = tuple(sorted(self.shifts))
-        if len(set(shifts)) != len(shifts):
-            raise ValueError(f"duplicate shift offsets in {self.shifts}")
-        if any(s < 0 for s in shifts):
-            raise ValueError(f"shift offsets must be non-negative, got {self.shifts}")
-        if not shifts or shifts[0] != 0:
+    def __new__(cls, shifts: tuple[int, ...]):
+        ordered = tuple(sorted(shifts))
+        if len(set(ordered)) != len(ordered):
+            raise ValueError(f"duplicate shift offsets in {shifts}")
+        if any(s < 0 for s in ordered):
+            raise ValueError(f"shift offsets must be non-negative, got {shifts}")
+        if not ordered or ordered[0] != 0:
             raise ValueError("shift set must contain the unshifted offset 0")
-        object.__setattr__(self, "shifts", shifts)
+        return super().__new__(cls, ordered)
 
 
 def d_sequence(q: int, length: int) -> BitSequence:

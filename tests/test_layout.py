@@ -2,7 +2,7 @@
 
 The package depends on the standard library only, keeps each module's
 private names to itself, exports exactly what ``__init__`` binds and defines
-no public method, property or dataclass field that it never reads itself.
+no public method, property or record field that it never reads itself.
 """
 import ast
 import subprocess
@@ -61,25 +61,38 @@ def test_all_lists_every_public_name_the_package_binds():
     assert set(exported) == {name for name in bound if not name.startswith("_")}
 
 
+def _start_up_modules(names):
+    # which of names a fresh isolated interpreter holds after importing the
+    # CLI and building its parser, the start-up every CLI call pays
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+        "import primeseq.cli; primeseq.cli.build_parser(); "
+        f"print(sorted(set({sorted(names)!r}) & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    return ast.literal_eval(result.stdout)
+
+
 def test_cli_start_up_does_not_import_decimal():
     # only the transform lag-sum path needs decimal, and it imports it there,
     # so every CLI call's start-up stays free of it
-    code = (
-        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
-        "import primeseq.cli; primeseq.cli.build_parser(); print('decimal' in sys.modules)"
-    )
-    result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
-    assert result.stdout == "False\n"
+    assert _start_up_modules({"decimal"}) == []
 
 
-def _unread_class_members(member_name):
-    # (class, member) pairs named by member_name over class-body statements,
-    # less those read as an attribute anywhere in the package
+def test_cli_start_up_does_not_import_dataclasses_inspect_or_csv():
+    # records are named tuples, since dataclasses (which pulls in inspect)
+    # roughly doubled start-up; only reproduce writes csv, and imports it there
+    assert _start_up_modules({"dataclasses", "inspect", "csv"}) == []
+
+
+def _unread_class_members(members):
+    # (class, member) pairs that members(class node) names, less those read
+    # as an attribute anywhere in the package
     defined, read = set(), set()
     for tree in _modules().values():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
-                defined |= {(node.name, name) for item in node.body if (name := member_name(item))}
+                defined |= {(node.name, name) for name in members(node)}
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     return sorted(f"{cls}.{name}" for cls, name in defined if name not in read)
@@ -88,12 +101,22 @@ def _unread_class_members(member_name):
 def test_every_public_method_is_read_in_the_package():
     # a method or property that only the tests reach is surface to delete
     unread = _unread_class_members(
-        lambda item: item.name if isinstance(item, ast.FunctionDef) and not item.name.startswith("_") else None
+        lambda cls: [item.name for item in cls.body
+                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
     )
     assert not unread, f"never read in the package: {unread}"
 
 
+def _record_fields(cls):
+    # every class in the package is a record built on namedtuple("Name", "a b c"),
+    # so a class without that base would hide its fields from the check below
+    calls = [base for base in cls.bases
+             if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple"]
+    assert len(calls) == 1, f"{cls.name} is not a namedtuple record"
+    return ast.literal_eval(calls[0].args[1]).split()
+
+
 def test_every_dataclass_field_is_read_in_the_package():
     # a field nothing reads is state carried for no one
-    unread = _unread_class_members(lambda item: item.target.id if isinstance(item, ast.AnnAssign) else None)
+    unread = _unread_class_members(_record_fields)
     assert not unread, f"never read in the package: {unread}"
