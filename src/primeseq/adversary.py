@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, count, islice
 
-from .primes import count_primes, sieve_primes
+from .primes import count_primes, is_prime, pnt_estimate
 from .sequences import BitSequence, ShiftSet, binary_primes_sequence, d_sequence
 
 # Enumeration caps. At n = 24, l_max = 3 the attack XORs 2047 shift sets and
@@ -52,7 +52,7 @@ def search_space_log10_paper(n: int) -> float:
     """log10 of the headline attacker-workload expression n^2/(2 ln n) * n^(n/ln n)."""
     _check_formula_n(n)
     ln_n = math.log(n)
-    return math.log10(n * n / (2.0 * ln_n)) + (n / ln_n) * math.log10(n)
+    return math.log10(n * n / (2.0 * ln_n)) + pnt_estimate(n) * math.log10(n)
 
 
 def search_space_log10_consistent(n: int) -> float:
@@ -83,17 +83,6 @@ def exact_hypothesis_count(n: int, l_max: int) -> int:
     return prime_choices * shift_choices
 
 
-def _candidate_primes(n: int) -> list[int]:
-    # The number of candidates is pi(n); their identities start at the
-    # smallest prime >= n, since a D-sequence modulus below its own emitted
-    # length would repeat inside the window. One sieve to 3n gives both: the
-    # last candidate is at most 2.65n for every n in 3..1999 (checked against
-    # trial division), and the attack caps n at ATTACK_MAX_LENGTH.
-    flags = sieve_primes(3 * n).is_prime
-    want = sum(flags[: n + 1])
-    return [q for q in range(n, 3 * n + 1) if flags[q]][:want]
-
-
 def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
     """Decide every (q, shift set) hypothesis and return those that regenerate observed.
 
@@ -104,7 +93,7 @@ def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
     observed ^ d(q) ^ b, with b the unshifted indicator row. hypotheses_tested
     counts the pairs decided, the candidate count times the shift sets
     enumerated. Output is ordered by q then by shifts regardless of
-    enumeration order. The size caps are checked before any primes are sieved.
+    enumeration order. The size caps are checked before the one sieve, to n.
     """
     n = observed.length
     if n > ATTACK_MAX_LENGTH or l_max > ATTACK_MAX_ADDED_SHIFTS:
@@ -135,7 +124,10 @@ def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
                 acc ^= rows[a]
             by_xor.setdefault(acc, []).append(added)
 
-    candidates = _candidate_primes(n)
+    # pi(n) candidates, the popcount of the indicator row, taken from the
+    # first prime >= n upwards: a D-sequence modulus below its own emitted
+    # length would repeat inside the window
+    candidates = list(islice(filter(is_prime, count(n)), base.bit_count()))
     matches: list[tuple[int, ShiftSet]] = []
     for q in candidates:
         residual = target ^ d_sequence(q, n).value ^ base

@@ -67,16 +67,7 @@ def _read_sequence(path: str) -> BitSequence:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.kind == "dseq":
-        if args.q is None:
-            raise ValueError("gen dseq requires --q")
-        length = args.len if args.len is not None else args.q
-        # q is never sieved; its cap bounds the trial division in d_sequence
-        _check_size("q", args.q)
-        _check_size("len", length)
-        seq = d_sequence(args.q, length)
-        meta = {"kind": "dseq", "q": args.q, "n": length}
-    elif args.kind == "bps":
+    if args.kind == "bps":
         if args.n is None:
             raise ValueError("gen bps requires --n")
         _check_size("n", args.n)
@@ -84,18 +75,21 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         seq = binary_primes_sequence(args.n, shifts)
         meta = {"kind": "bps", "n": args.n,
                 "shifts": ",".join(str(s) for s in shifts.shifts)}
-    else:  # hardened
+    else:  # dseq or hardened
         if args.q is None:
-            raise ValueError("gen hardened requires --q")
+            raise ValueError(f"gen {args.kind} requires --q")
         length = args.len if args.len is not None else args.q
+        # q is never sieved; its cap bounds the trial division in d_sequence
         _check_size("q", args.q)
         _check_size("len", length)
-        shifts = _resolve_shifts(length, args.shifts, args.seed)
-        pn = d_sequence(args.q, length)
-        bps = binary_primes_sequence(length, shifts)
-        seq = harden(pn, bps)
-        meta = {"kind": "hardened", "q": args.q, "n": length,
-                "shifts": ",".join(str(s) for s in shifts.shifts)}
+        meta = {"kind": args.kind, "q": args.q, "n": length}
+        if args.kind == "dseq":
+            seq = d_sequence(args.q, length)
+        else:
+            # shifts are resolved first, so a bad --shifts is reported before a bad --q
+            shifts = _resolve_shifts(length, args.shifts, args.seed)
+            seq = harden(d_sequence(args.q, length), binary_primes_sequence(length, shifts))
+            meta["shifts"] = ",".join(str(s) for s in shifts.shifts)
     label = " ".join(f"{k}={v}" for k, v in meta.items())
     seq = BitSequence(seq.length, seq.value, label)
     _emit_sequence(seq, meta, args.out)

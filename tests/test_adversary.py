@@ -191,8 +191,8 @@ def oracle_planted_bits(q, shifts, n):
 
 
 def test_attack_recovers_key_on_last_candidate_modulus():
-    # the largest candidate modulus is the one nearest the end of the sieve
-    # the candidates come from, at every length the attack accepts
+    # the largest candidate modulus, the pi(n)-th prime from n upwards, is the
+    # one the candidate search reaches last, at every length the attack accepts
     for n in range(3, ATTACK_MAX_LENGTH + 1):
         q = oracle_attack_moduli(n)[-1]
         bits = oracle_planted_bits(q, (0, 1), n)

@@ -306,6 +306,17 @@ def test_attack_checks_size_before_sieving(tmp_path, capsys, sieve_limits):
     assert sieve_limits == []
 
 
+def test_attack_sieves_once_to_n(tmp_path, capsys, sieve_limits):
+    # the base row is the only sieve; the candidate moduli above n are found
+    # by trial division, so no sieve reaches past n
+    target = tmp_path / "obs.txt"
+    run_cli(capsys, "gen", "hardened", "--q", "23", "--len", "20", "--shifts", "0,3",
+            "--out", str(target))
+    sieve_limits.clear()
+    code, _, _ = run_cli(capsys, "attack", str(target), "--l-max", "2")
+    assert code == 0 and sieve_limits == [20]
+
+
 # --- reproduce ------------------------------------------------------------------------
 
 def test_reproduce_table1(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 The package depends on the standard library only, keeps each module's
 private names to itself, exports exactly what ``__init__`` binds and defines
-no public method, property or record field that it never reads itself.
+no function, public method, property or record field that it never reads
+itself.
 """
 import ast
 import subprocess
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "primeseq"
+BENCH = PACKAGE.parents[1] / "bench"
 
 
 def _modules():
@@ -120,3 +122,31 @@ def test_every_dataclass_field_is_read_in_the_package():
     # a field nothing reads is state carried for no one
     unread = _unread_class_members(_record_fields)
     assert not unread, f"never read in the package: {unread}"
+
+
+def _used_names(tree):
+    # names loaded or called by attribute, each under the top-level function
+    # it appears in (None outside any), so a function calling itself does not
+    # count as its own caller; a handler handed to argparse counts as called
+    used = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((owner, node.id))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                used.add((owner, node.func.attr))
+    return used
+
+
+def test_every_module_level_function_has_a_caller():
+    # a function only the tests call is surface to delete; d_sequence_period
+    # stays because acceptance criterion 8 checks the period of a D-sequence
+    trees = list(_modules().values()) + [ast.parse(path.read_text(), str(path))
+                                         for path in sorted(BENCH.glob("*.py"))]
+    used = set().union(*map(_used_names, trees))
+    defined = {node.name for tree in _modules().values() for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    uncalled = sorted(name for name in defined - {"d_sequence_period"}
+                      if not any(owner != name and used_name == name for owner, used_name in used))
+    assert not uncalled, f"never called in the package or bench/: {uncalled}"
