@@ -19,9 +19,10 @@ NORMALIZATIONS = ("by-n", "by-peak")
 # 2.8 s (100 MB peak RSS), where the popcount loop would take minutes.
 ANALYSIS_MAX_LENGTH = 1 << 20
 # Shortest sequence whose lag sums come from one decimal product rather than
-# one popcount per lag; on a 2-vCPU Xeon the two paths cost the same near 3500
-# bits, and the product is 1.5x faster at 4000 and 2.3x at 8000.
-LAG_SUM_TRANSFORM_MIN_LENGTH = 4000
+# one popcount per lag up to n/2; on a 2-vCPU Xeon (medians of 15) the two
+# paths cost the same near 6700 bits, and the product is 1.2x faster at 7500,
+# 1.3x at 8000 and 2x at 16000.
+LAG_SUM_TRANSFORM_MIN_LENGTH = 7000
 
 
 class CorrelationConvention(namedtuple("CorrelationConvention", "mapping normalization")):
@@ -87,36 +88,38 @@ class AnalysisReport(namedtuple(
 
 def _cyclic_lag_sums(x: int, n: int) -> list[int]:
     # 0/1 lag sums S_k = popcount(x & rot_k(x)) of the n-bit word x; S_0 is
-    # the number of ones m, and S_k = S_(n-k).
+    # the number of ones m. Both paths find S_0..S_(n//2) and mirror them,
+    # since S_k = S_(n-k).
     if n < LAG_SUM_TRANSFORM_MIN_LENGTH:
         # x has n bits, so the AND drops the high half of the doubled word
         doubled = x | (x << n)
-        return [(x & (doubled >> k)).bit_count() for k in range(n)]
-    # Kronecker substitution: each bit is one d-digit slot of a decimal integer,
-    # and x times its reversal holds every linear lag sum in a slot of its own.
-    # No sum exceeds m < 10^d, so no slot carries, and adding the high n slots
-    # to the low n slots wraps the linear sums into the cyclic ones, which
-    # read S_0, S_(n-1), ..., S_1 from the left. libmpdec multiplies operands
-    # this long with a number-theoretic transform. Each intermediate is
-    # dropped once the next exists, to keep the peak near the popcount path's.
-    import decimal
+        half = [(x & (doubled >> k)).bit_count() for k in range(n // 2 + 1)]
+    else:
+        # Kronecker substitution: each bit is one d-digit slot of a decimal
+        # integer, and x times its reversal holds every linear lag sum in a
+        # slot of its own. No sum exceeds m < 10^d, so no slot carries, and
+        # adding the high n slots to the low n slots wraps the linear sums into
+        # the cyclic ones, which read S_0, S_(n-1), ..., S_1 from the left.
+        # libmpdec multiplies operands this long with a number-theoretic
+        # transform. Each intermediate is dropped once the next exists, to keep
+        # the peak near the popcount path's.
+        import decimal
 
-    d = len(str(x.bit_count()))
-    pad = "0" * (d - 1)
-    bits = format(x, f"0{n}b")
-    a = decimal.Decimal(pad + pad.join(bits))
-    b = decimal.Decimal(pad + pad.join(bits[::-1]))
-    del bits
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-    digits = str(ctx.multiply(a, b))
-    del a, b
-    w = n * d
-    folded = ctx.add(decimal.Decimal(digits[:-w] or 0), decimal.Decimal(digits[-w:]))
-    del digits
-    text = str(folded).zfill(w)
-    del folded
-    # parse S_0..S_(n//2) and mirror them, since S_k = S_(n-k)
-    half = [int(text[i:i + d]) for i in range(0, (n // 2 + 1) * d, d)]
+        d = len(str(x.bit_count()))
+        pad = "0" * (d - 1)
+        bits = format(x, f"0{n}b")
+        a = decimal.Decimal(pad + pad.join(bits))
+        b = decimal.Decimal(pad + pad.join(bits[::-1]))
+        del bits
+        ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+        digits = str(ctx.multiply(a, b))
+        del a, b
+        w = n * d
+        folded = ctx.add(decimal.Decimal(digits[:-w] or 0), decimal.Decimal(digits[-w:]))
+        del digits
+        text = str(folded).zfill(w)
+        del folded
+        half = [int(text[i:i + d]) for i in range(0, (n // 2 + 1) * d, d)]
     return half + half[n - n // 2 - 1:0:-1]
 
 
@@ -136,36 +139,40 @@ def autocorrelation(seq: BitSequence, conv: CorrelationConvention = DEFAULT_CONV
     sums = _cyclic_lag_sums(seq.value, n)
     # the mapped lag sum is base + scale*S_k: raw 0/1 symbols give S_k itself,
     # -1/+1 symbols agreements minus disagreements, n - 4m + 4*S_k for m ones.
-    # Exact integers divided once, bit-identical to a double loop over symbols;
-    # each value is made in one pass so only the sums and the values are held.
+    # Exact integers divided once, bit-identical to a double loop over symbols.
+    # A sequence has only about sqrt(n) distinct lag sums, so each is divided
+    # once and equal lags share one float.
     base, scale = (n - 4 * sums[0], 4) if conv.mapping == "bipolar" else (0, 1)
     if conv.normalization == "by-n":
-        values = tuple([(base + scale * s) / n for s in sums])
+        value_of = {s: (base + scale * s) / n for s in set(sums)}
     else:
         peak = (base + scale * sums[0]) / n
         if peak == 0:
             raise ValueError("cannot normalize by peak: lag-0 value is zero")
-        values = tuple([(base + scale * s) / n / peak for s in sums])
-    return CorrelationSeries(values, conv)
+        value_of = {s: (base + scale * s) / n / peak for s in set(sums)}
+    return CorrelationSeries(tuple(map(value_of.__getitem__, sums)), conv)
 
 
-def randomness_measure(corr: CorrelationSeries) -> float:
-    """1 minus the mean absolute off-peak correlation; 1 is ideal, 0 fully structured."""
-    if corr.n < 2:
-        raise ValueError(f"series too short: length {corr.n}")
-    r = 1.0 - math.fsum(map(abs, corr.values[1:])) / (corr.n - 1)
-    # |c| <= 1 under every convention, so r is in [0, 1] bar the last ulp
-    return min(1.0, max(0.0, r))
-
-
-def off_peak_stats(corr: CorrelationSeries) -> tuple[float, float]:
-    """(max, mean) of |c(k)| over the off-peak lags 1..N-1."""
+def _off_peak_summary(corr: CorrelationSeries) -> tuple[float, float, float]:
+    # (max, mean, R) of |c(k)| over the off-peak lags 1..N-1 from one exact sum
     if corr.n < 2:
         raise ValueError(f"series too short: length {corr.n}")
     off = corr.values[1:]
     mx = max(map(abs, off))
-    # exact summation, then clamp: rounding must not push the mean past the max
-    return mx, min(math.fsum(map(abs, off)) / len(off), mx)
+    mean = math.fsum(map(abs, off)) / len(off)
+    # rounding must not push the mean past the max; |c| <= 1 under every
+    # convention, so R = 1 - mean is in [0, 1] bar the last ulp
+    return mx, min(mean, mx), min(1.0, max(0.0, 1.0 - mean))
+
+
+def randomness_measure(corr: CorrelationSeries) -> float:
+    """1 minus the mean absolute off-peak correlation; 1 is ideal, 0 fully structured."""
+    return _off_peak_summary(corr)[2]
+
+
+def off_peak_stats(corr: CorrelationSeries) -> tuple[float, float]:
+    """(max, mean) of |c(k)| over the off-peak lags 1..N-1."""
+    return _off_peak_summary(corr)[:2]
 
 
 def balance(seq: BitSequence) -> float:
@@ -176,9 +183,9 @@ def balance(seq: BitSequence) -> float:
 def analyze(seq: BitSequence, conv: CorrelationConvention = DEFAULT_CONVENTION) -> AnalysisReport:
     """Single-pass report: randomness measure, off-peak stats and balance."""
     corr = autocorrelation(seq, conv)
-    max_off, mean_off = off_peak_stats(corr)
+    max_off, mean_off, randomness = _off_peak_summary(corr)
     return AnalysisReport(
-        randomness=randomness_measure(corr),
+        randomness=randomness,
         max_offpeak=max_off,
         mean_offpeak=mean_off,
         ones_fraction=balance(seq),

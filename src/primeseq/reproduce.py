@@ -78,10 +78,14 @@ def _fmt(value: float) -> str:
 
 def write_correlation_csv(path: str | Path, series: CorrelationSeries) -> None:
     """Write the ``lag,c`` CSV of a correlation series, one line per lag."""
+    # Each distinct value is formatted once. 0.0 and -0.0 are one dict key but
+    # print as 0 and -0, so zeros are formatted where they stand.
+    text = {v: format(v, ".10g") for v in set(series.values)}
     with open(path, "w", newline="") as fh:
         fh.write("lag,c\n")
-        for lag, value in enumerate(series.values):
-            fh.write(f"{lag},{format(value, '.10g')}\n")
+        fh.writelines(
+            f"{lag},{text[v] if v else format(v, '.10g')}\n" for lag, v in enumerate(series.values)
+        )
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:

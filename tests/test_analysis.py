@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from primeseq import (
     randomness_measure,
 )
 from primeseq import analysis
-from primeseq.analysis import ANALYSIS_MAX_LENGTH
+from primeseq.analysis import ANALYSIS_MAX_LENGTH, LAG_SUM_TRANSFORM_MIN_LENGTH
 from conftest import (
     bits_of,
     oracle_autocorrelation,
@@ -180,6 +181,32 @@ def test_lag_sum_invariants_at_length_cap():
         assert sums[k] == (x & (doubled >> k)).bit_count()
 
 
+def _direct_lag_sums(x, n):
+    # one full rotation and popcount per lag, with no mirroring
+    mask = (1 << n) - 1
+    return [(x & ((x >> k | x << (n - k)) & mask)).bit_count() for k in range(n)]
+
+
+# the popcount path's smallest lengths and one even and one odd just below
+# the crossover, far past the 64-bit Hypothesis strategy
+@pytest.mark.parametrize(
+    "n", [2, 3, 4, 5, LAG_SUM_TRANSFORM_MIN_LENGTH - 2, LAG_SUM_TRANSFORM_MIN_LENGTH - 1]
+)
+def test_popcount_lag_sums_match_direct_loop(n):
+    assert n < LAG_SUM_TRANSFORM_MIN_LENGTH
+    if n <= 5:
+        words = range(1 << n)
+    else:
+        rng = random.Random(n)
+        words = [0, 1, 1 << (n - 1), (1 << n) - 1] + [rng.getrandbits(n) for _ in range(3)]
+    for x in words:
+        sums = analysis._cyclic_lag_sums(x, n)
+        assert sums == _direct_lag_sums(x, n)
+        if n <= 5:
+            bits = [int(c) for c in format(x, f"0{n}b")]
+            assert sums == [sum(bits[i] & bits[(i + k) % n] for i in range(n)) for k in range(n)]
+
+
 @given(bits=bits_st)
 def test_cyclic_symmetry(bits):
     for conv in all_conventions():
@@ -283,6 +310,25 @@ def test_analyze_matches_oracle_on_d13():
     assert report.max_offpeak == pytest.approx(max_off, abs=1e-12)
     assert report.mean_offpeak == pytest.approx(mean_off, abs=1e-12)
     assert report.ones_fraction == 0.5
+
+
+# one length on each lag-sum kernel path
+@pytest.mark.parametrize("q", [997, 10007])
+@pytest.mark.parametrize("conv", all_conventions(), ids=lambda c: f"{c.mapping}-{c.normalization}")
+def test_analyze_fields_equal_public_functions(q, conv):
+    assert (q < LAG_SUM_TRANSFORM_MIN_LENGTH) == (q == 997)
+    seq = seq_of(_hardened_bits(q, (0, 11, 77, 111)))
+    report = analyze(seq, conv)
+    corr = report.correlation
+    assert corr.values == autocorrelation(seq, conv).values
+    got = (report.max_offpeak, report.mean_offpeak, report.randomness)
+    public = (*off_peak_stats(corr), randomness_measure(corr))
+    # written out: the max, the mean clamped to the max, and 1 - the unclamped
+    # mean clamped to [0, 1]
+    off = [abs(v) for v in corr.values[1:]]
+    mean = math.fsum(off) / len(off)
+    inline = (max(off), min(mean, max(off)), min(1.0, max(0.0, 1.0 - mean)))
+    assert [v.hex() for v in got] == [v.hex() for v in public] == [v.hex() for v in inline]
 
 
 def test_analyze_report_dict_shape():

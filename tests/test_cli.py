@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,10 @@ import pytest
 
 import primeseq
 from primeseq import (
+    BitSequence,
     CorrelationConvention,
+    CorrelationSeries,
+    DEFAULT_CONVENTION,
     all_conventions,
     autocorrelation,
     off_peak_stats,
@@ -179,6 +184,87 @@ def test_analyze_convention_flags(tmp_path, capsys, mapping, normalization):
     expected = ["lag,c"] + [f"{lag},{format(v, '.10g')}" for lag, v in enumerate(series.values)]
     assert csv_path.read_text().splitlines() == expected
     assert (report["max_offpeak"], report["mean_offpeak"]) == off_peak_stats(series)
+
+
+# SHA-256 of `analyze` stdout and of its --out CSV for `gen hardened --q q`
+# files: q = 997 runs the popcount lag-sum kernel, q = 10007 the transform
+ANALYZE_DIGESTS = {
+    (997, "bipolar", "by-n"): (
+        "b257e0b6a153a7c56a5e562ac3e412e2cd3839d0e19f71f91bbab2aade9b3e42",
+        "26b11f9bc275c6c7fe7a8da9c463ef5635250871196fd1942a5c61421a8c54f4",
+    ),
+    (997, "bipolar", "by-peak"): (
+        "4d6d5e7838068106b19b944fa2df276f298cbfeab426f3ee06ac2718a2501e8d",
+        "26b11f9bc275c6c7fe7a8da9c463ef5635250871196fd1942a5c61421a8c54f4",
+    ),
+    (997, "raw01", "by-n"): (
+        "ffc6d4e9bbba9ab276aa0e1395a8f615286ac49d6340f18d804b91743083dde4",
+        "0bdb9f34c93439e90eed42441516bd5bae02c1eb4dc8839e0506ee5af0aa91f7",
+    ),
+    (997, "raw01", "by-peak"): (
+        "5be797a136a52a3a7b4d11e78c556fb5948cace23f21941036e89c633a95edbb",
+        "091a7efa71b38949cdfd5e1c2eeb5d5714dbae5a75811a53c13d0245c798a797",
+    ),
+    (10007, "bipolar", "by-n"): (
+        "3955b7c527d5471f236bedda7504d5a4864613de66a7c32deb3375971a47d97f",
+        "3002b0c46c251340a6f79a0af49e25a5e3a647239984805bb68eb8c7a2cc98d7",
+    ),
+    (10007, "bipolar", "by-peak"): (
+        "8d24399329c978136fb3057fbafe80eb68fef438513b5361151e4798ee74ca93",
+        "3002b0c46c251340a6f79a0af49e25a5e3a647239984805bb68eb8c7a2cc98d7",
+    ),
+    (10007, "raw01", "by-n"): (
+        "92ab16b4e3dc648f4c01ced6b15f0f55287dea53d2a3f705fa166e82ff01f0b9",
+        "59936982a3a2eca6bd104d2fa78fdc3dc504a8879210b5982896210b7769dbd9",
+    ),
+    (10007, "raw01", "by-peak"): (
+        "e2cc2fb9c55fbdf56ab2b63ddafddd15d837241e9e0fe8887a0574b3aaa78ef9",
+        "72cc5778c0f29a57f360ef6da64c361e82be8a748c6c292f5bb4440791b1afcc",
+    ),
+}
+
+
+@pytest.mark.parametrize("q, mapping, normalization", list(ANALYZE_DIGESTS))
+def test_analyze_output_digests(tmp_path, capsys, q, mapping, normalization):
+    seq_path, csv_path = tmp_path / "seq.txt", tmp_path / "corr.csv"
+    assert run_cli(capsys, "gen", "hardened", "--q", str(q), "--out", str(seq_path))[0] == 0
+    code, out, err = run_cli(
+        capsys, "analyze", str(seq_path), "--convention", mapping, "--normalize", normalization,
+        "--out", str(csv_path),
+    )
+    assert code == 0 and err == ""
+    digests = (hashlib.sha256(out.encode()).hexdigest(),
+               hashlib.sha256(csv_path.read_bytes()).hexdigest())
+    assert digests == ANALYZE_DIGESTS[q, mapping, normalization]
+
+
+def _per_lag_csv(series):
+    return ("lag,c\n" + "".join(
+        f"{lag},{format(v, '.10g')}\n" for lag, v in enumerate(series.values)
+    )).encode()
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 199, 997, 7001, 10007])
+def test_correlation_csv_matches_per_lag_reference(tmp_path, n):
+    # the low bit keeps the raw01 peak above zero
+    seq = BitSequence(n, random.Random(n).getrandbits(n) | 1)
+    for conv in all_conventions():
+        series = autocorrelation(seq, conv)
+        reproduce.write_correlation_csv(tmp_path / "c.csv", series)
+        assert (tmp_path / "c.csv").read_bytes() == _per_lag_csv(series)
+
+
+def test_correlation_csv_keeps_signed_zeros_and_nan(tmp_path):
+    # 0.0 == -0.0 and nan != nan, yet each prints as itself; equal values
+    # appear both as one object and as separate objects
+    nan = float("nan")
+    values = (1.0, 0.0, -0.0, nan, 0.25, -0.25, 0.25, -0.0, 0.0, nan, float("nan"),
+              -nan, float("0.25"), 1 / 3, 1 / 3, -0.0)
+    series = CorrelationSeries(values, DEFAULT_CONVENTION)
+    reproduce.write_correlation_csv(tmp_path / "c.csv", series)
+    data = (tmp_path / "c.csv").read_bytes()
+    assert data == _per_lag_csv(series)
+    assert b"\n1,0\n2,-0\n3,nan\n" in data and data.endswith(b"\n15,-0\n")
 
 
 def test_analyze_malformed_file(tmp_path, capsys):
