@@ -8,7 +8,9 @@ divided by the sequence length, which pins the lag-0 peak at exactly 1.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
+from itertools import chain
 
 from .sequences import BitSequence
 
@@ -16,13 +18,15 @@ MAPPINGS = ("raw01", "bipolar")
 NORMALIZATIONS = ("by-n", "by-peak")
 # Longest sequence autocorrelation accepts: on a 2-vCPU Xeon the transform
 # lag-sum kernel takes about 1.3 s at this length and CLI `analyze --out` about
-# 2.8 s (100 MB peak RSS), where the popcount loop would take minutes.
+# 2 s (58 MB peak RSS, 78 MB when 10^6 ones need 7-digit slots), where the
+# popcount loop would take minutes.
 ANALYSIS_MAX_LENGTH = 1 << 20
 # Shortest sequence whose lag sums come from one decimal product rather than
-# one popcount per lag up to n/2; on a 2-vCPU Xeon (medians of 15) the two
-# paths cost the same near 6700 bits, and the product is 1.2x faster at 7500,
-# 1.3x at 8000 and 2x at 16000.
-LAG_SUM_TRANSFORM_MIN_LENGTH = 7000
+# one popcount per lag up to n/2; on a 2-vCPU Xeon (random words, calls
+# interleaved, medians of 45) the two paths cost the same near 3650 bits
+# (popcount/product 1.94/2.01 ms at 3600, 2.07/1.79 ms at 3700), and the
+# product is 1.4x faster at 4000, 1.8x at 7000 and 2.4x at 8000.
+LAG_SUM_TRANSFORM_MIN_LENGTH = 3650
 
 
 class CorrelationConvention(namedtuple("CorrelationConvention", "mapping normalization")):
@@ -102,25 +106,52 @@ def _cyclic_lag_sums(x: int, n: int) -> list[int]:
         # the cyclic ones, which read S_0, S_(n-1), ..., S_1 from the left.
         # libmpdec multiplies operands this long with a number-theoretic
         # transform. Each intermediate is dropped once the next exists, to keep
-        # the peak near the popcount path's.
+        # the peak near the popcount path's. Every step below runs in C: the
+        # Python loop is over the d <= 7 digits of a slot, not over the slots.
         import decimal
+        from array import array
 
         d = len(str(x.bit_count()))
-        pad = "0" * (d - 1)
-        bits = format(x, f"0{n}b")
-        a = decimal.Decimal(pad + pad.join(bits))
-        b = decimal.Decimal(pad + pad.join(bits[::-1]))
-        del bits
+        w, h = n * d, n // 2 + 1
+        bits = format(x, f"0{n}b").encode()
+        slots = bytearray(b"0") * w
+        slots[d - 1::d] = bits
+        a = decimal.Decimal(slots.decode())
+        slots[d - 1::d] = bits[::-1]
+        b = decimal.Decimal(slots.decode())
+        del bits, slots
         ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
         digits = str(ctx.multiply(a, b))
         del a, b
-        w = n * d
-        folded = ctx.add(decimal.Decimal(digits[:-w] or 0), decimal.Decimal(digits[-w:]))
+        # The first h slots of the high and of the low n slots, as digit
+        # values 0..9; their slotwise sums are S_0..S_(n//2). The product has
+        # at most 2w digits, and the pad leading zeros it lacks are restored
+        # on the two slices rather than on the whole text.
+        pad, hd = 2 * w - len(digits), h * d
+        high = digits[:max(hd - pad, 0)].rjust(hd, "0").encode()
+        low = digits[max(w - pad, 0):max(w + hd - pad, 0)].rjust(hd, "0").encode()
         del digits
-        text = str(folded).zfill(w)
-        del folded
-        half = [int(text[i:i + d]) for i in range(0, (n // 2 + 1) * d, d)]
-    return half + half[n - n // 2 - 1:0:-1]
+        digit_value = bytes.maketrans(b"0123456789", bytes(range(10)))
+        high, low = high.translate(digit_value), low.translate(digit_value)
+        # Digit plane j of each slot goes into the low byte of a 4-byte
+        # little-endian word, so one integer holds the plane for all h slots;
+        # summing the planes times powers of ten rebuilds every slot at once.
+        # A slot holds S_k <= m <= 2^20 < 2^32, so no word carries into the next.
+        words = bytearray(4 * h)
+        total = 0
+        for j in range(d):
+            words[::4] = high[j::d]
+            plane = int.from_bytes(words, "little")
+            words[::4] = low[j::d]
+            total = total * 10 + plane + int.from_bytes(words, "little")
+        del high, low, words, plane
+        half = array("I", total.to_bytes(4 * h, "little"))
+        del total
+        if sys.byteorder == "big":
+            half.byteswap()
+        half = half.tolist()
+    half += half[n - n // 2 - 1:0:-1]
+    return half
 
 
 def autocorrelation(seq: BitSequence, conv: CorrelationConvention = DEFAULT_CONVENTION) -> CorrelationSeries:
@@ -155,11 +186,25 @@ def autocorrelation(seq: BitSequence, conv: CorrelationConvention = DEFAULT_CONV
 
 def _off_peak_summary(corr: CorrelationSeries) -> tuple[float, float, float]:
     # (max, mean, R) of |c(k)| over the off-peak lags 1..N-1 from one exact sum
-    if corr.n < 2:
-        raise ValueError(f"series too short: length {corr.n}")
-    off = corr.values[1:]
-    mx = max(map(abs, off))
-    mean = math.fsum(map(abs, off)) / len(off)
+    n = corr.n
+    if n < 2:
+        raise ValueError(f"series too short: length {n}")
+    values = corr.values
+    paired = values[1:(n + 1) // 2]
+    if paired == values[:n // 2:-1]:
+        # c(k) = c(n-k), as for every series autocorrelation returns, so each
+        # lag 1..(n-1)//2 stands for two lags; the middle lag of even n stands
+        # for one, and enters the doubled sum halved (odd n has none: 0.0).
+        # Above the subnormal range halving and doubling are exact, so the sum
+        # is the same correctly rounded float as over all n-1 lags.
+        middle = abs(values[n // 2]) if n % 2 == 0 else 0.0
+        mx = max(chain(map(abs, paired), (middle,)))
+        total = 2 * math.fsum(chain(map(abs, paired), (middle / 2,)))
+    else:
+        off = values[1:]
+        mx = max(map(abs, off))
+        total = math.fsum(map(abs, off))
+    mean = total / (n - 1)
     # rounding must not push the mean past the max; |c| <= 1 under every
     # convention, so R = 1 - mean is in [0, 1] bar the last ulp
     return mx, min(mean, mx), min(1.0, max(0.0, 1.0 - mean))

@@ -54,6 +54,8 @@ TABLE2_PUBLISHED = (
 FIG3_SWEEP_PRIMES = (53, 101, 199, 401, 797, 997)
 FIG3_SHIFTS = (0, 7, 11, 22)
 FIG6_PRIME_RANGE = (40, 650)
+# lines per write of the lag,c CSV, which bounds its text in memory
+_CSV_BLOCK = 1024
 
 
 class ReproductionTarget(namedtuple("ReproductionTarget", "id output_path")):
@@ -78,14 +80,24 @@ def _fmt(value: float) -> str:
 
 def write_correlation_csv(path: str | Path, series: CorrelationSeries) -> None:
     """Write the ``lag,c`` CSV of a correlation series, one line per lag."""
-    # Each distinct value is formatted once. 0.0 and -0.0 are one dict key but
-    # print as 0 and -0, so zeros are formatted where they stand.
-    text = {v: format(v, ".10g") for v in set(series.values)}
+    # Each distinct nonzero value is formatted once, and each block of lines is
+    # one %-format in C. 0.0 and -0.0 are one dict key but print as 0 and -0,
+    # so zeros stay out of the cache: %s prints them as 0.0 and -0.0, and
+    # dropping the ".0" before the newline gives 0 and -0. The .10g text of no
+    # other value ends in ".0", so nothing else changes.
+    values = series.values
+    distinct = set(values)
+    text = {v: format(v, ".10g") for v in distinct if v}
+    zero = 0.0 in distinct
     with open(path, "w", newline="") as fh:
         fh.write("lag,c\n")
-        fh.writelines(
-            f"{lag},{text[v] if v else format(v, '.10g')}\n" for lag, v in enumerate(series.values)
-        )
+        for start in range(0, len(values), _CSV_BLOCK):
+            block = values[start:start + _CSV_BLOCK]
+            args = [None] * (2 * len(block))
+            args[::2] = range(start, start + len(block))
+            args[1::2] = map(text.get, block, block)
+            lines = ("%d,%s\n" * len(block)) % tuple(args)
+            fh.write(lines.replace(".0\n", "\n") if zero else lines)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from primeseq import (
     BitSequence,
     CorrelationConvention,
+    CorrelationSeries,
     DEFAULT_CONVENTION,
     ShiftSet,
     all_conventions,
@@ -164,12 +165,8 @@ def test_transform_lag_sums_equal_popcount(q):
     assert _transform_sums(x, q) == _popcount_sums(x, q)
 
 
-def test_lag_sum_invariants_at_length_cap():
+def _assert_lag_sum_invariants(x, n):
     # no oracle runs this far; check the identities every lag-sum vector obeys
-    n = ANALYSIS_MAX_LENGTH
-    assert n == 1 << 20
-    pn = d_sequence(1048573, n)
-    x = harden(pn, binary_primes_sequence(n, ShiftSet((0, 5, 1000, 77777)))).value
     sums = analysis._cyclic_lag_sums(x, n)
     m = x.bit_count()
     assert len(sums) == n
@@ -179,6 +176,26 @@ def test_lag_sum_invariants_at_length_cap():
     doubled = x | (x << n)
     for k in random.Random(n).sample(range(1, n), 8):
         assert sums[k] == (x & (doubled >> k)).bit_count()
+
+
+def test_lag_sum_invariants_at_length_cap():
+    n = ANALYSIS_MAX_LENGTH
+    assert n == 1 << 20
+    pn = d_sequence(1048573, n)
+    x = harden(pn, binary_primes_sequence(n, ShiftSet((0, 5, 1000, 77777)))).value
+    _assert_lag_sum_invariants(x, n)
+
+
+def test_lag_sum_invariants_at_widest_slot():
+    # m >= 10^6 ones need 7-digit slots, the widest any accepted length has;
+    # about 31/32 of the bits are ones
+    n = ANALYSIS_MAX_LENGTH
+    rng = random.Random(n)
+    x = 0
+    for _ in range(5):
+        x |= rng.getrandbits(n)
+    assert len(str(x.bit_count())) == 7
+    _assert_lag_sum_invariants(x, n)
 
 
 def _direct_lag_sums(x, n):
@@ -312,6 +329,14 @@ def test_analyze_matches_oracle_on_d13():
     assert report.ones_fraction == 0.5
 
 
+def _full_range_summary(corr):
+    # written out over all n-1 off-peak lags, mirror included: the max, the
+    # mean clamped to the max, and 1 - the unclamped mean clamped to [0, 1]
+    off = [abs(v) for v in corr.values[1:]]
+    mean = math.fsum(off) / len(off)
+    return max(off), min(mean, max(off)), min(1.0, max(0.0, 1.0 - mean))
+
+
 # one length on each lag-sum kernel path
 @pytest.mark.parametrize("q", [997, 10007])
 @pytest.mark.parametrize("conv", all_conventions(), ids=lambda c: f"{c.mapping}-{c.normalization}")
@@ -323,12 +348,30 @@ def test_analyze_fields_equal_public_functions(q, conv):
     assert corr.values == autocorrelation(seq, conv).values
     got = (report.max_offpeak, report.mean_offpeak, report.randomness)
     public = (*off_peak_stats(corr), randomness_measure(corr))
-    # written out: the max, the mean clamped to the max, and 1 - the unclamped
-    # mean clamped to [0, 1]
-    off = [abs(v) for v in corr.values[1:]]
-    mean = math.fsum(off) / len(off)
-    inline = (max(off), min(mean, max(off)), min(1.0, max(0.0, 1.0 - mean)))
+    inline = _full_range_summary(corr)
     assert [v.hex() for v in got] == [v.hex() for v in public] == [v.hex() for v in inline]
+
+
+def _hex_summary(corr):
+    return [v.hex() for v in (*off_peak_stats(corr), randomness_measure(corr))]
+
+
+# every small length, odd and even, and one on each lag-sum kernel path
+@pytest.mark.parametrize("n", [*range(2, 41), 997, 10007])
+def test_off_peak_summary_over_half_the_lags_equals_full_range(n):
+    # the low bit keeps the raw01 peak above zero
+    seq = BitSequence(n, random.Random(n).getrandbits(n) | 1)
+    for conv in all_conventions():
+        corr = autocorrelation(seq, conv)
+        assert _hex_summary(corr) == [v.hex() for v in _full_range_summary(corr)]
+
+
+def test_off_peak_summary_of_asymmetric_series_sums_every_lag():
+    # c(k) != c(n-k), so lags 1..n//2 alone would miss the 0.9 at lag n-1
+    for values in ((1.0, 0.5, 0.25, 0.125, 0.9), (1.0, 0.5, 0.25, -0.125, 0.9, 0.5)):
+        corr = CorrelationSeries(values, DEFAULT_CONVENTION)
+        assert _hex_summary(corr) == [v.hex() for v in _full_range_summary(corr)]
+        assert off_peak_stats(corr)[0] == 0.9
 
 
 def test_analyze_report_dict_shape():

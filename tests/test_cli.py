@@ -23,6 +23,7 @@ from primeseq import (
 )
 from primeseq.analysis import ANALYSIS_MAX_LENGTH
 from primeseq.cli import main
+from primeseq.reproduce import _CSV_BLOCK
 
 
 def run_cli(capsys, *argv):
@@ -244,7 +245,10 @@ def _per_lag_csv(series):
     )).encode()
 
 
-@pytest.mark.parametrize("n", [2, 3, 10, 199, 997, 7001, 10007])
+# the CSV goes out in blocks of _CSV_BLOCK lines: one block, one line past
+# it, and a short fourth block
+@pytest.mark.parametrize("n", [2, 3, 10, 199, 997, 7001, 10007,
+                               _CSV_BLOCK, _CSV_BLOCK + 1, 3 * _CSV_BLOCK + 7])
 def test_correlation_csv_matches_per_lag_reference(tmp_path, n):
     # the low bit keeps the raw01 peak above zero
     seq = BitSequence(n, random.Random(n).getrandbits(n) | 1)
@@ -265,6 +269,12 @@ def test_correlation_csv_keeps_signed_zeros_and_nan(tmp_path):
     data = (tmp_path / "c.csv").read_bytes()
     assert data == _per_lag_csv(series)
     assert b"\n1,0\n2,-0\n3,nan\n" in data and data.endswith(b"\n15,-0\n")
+    # the same values again in every block after the first, which holds no zero
+    later = CorrelationSeries((0.5,) * _CSV_BLOCK + values * (_CSV_BLOCK // 8), DEFAULT_CONVENTION)
+    reproduce.write_correlation_csv(tmp_path / "c.csv", later)
+    data = (tmp_path / "c.csv").read_bytes()
+    assert data == _per_lag_csv(later)
+    assert f"\n{_CSV_BLOCK + 1},0\n{_CSV_BLOCK + 2},-0\n{_CSV_BLOCK + 3},nan\n".encode() in data
 
 
 def test_analyze_malformed_file(tmp_path, capsys):
