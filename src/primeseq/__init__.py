@@ -17,7 +17,6 @@ from .sequences import (
     ShiftSet,
     binary_primes_sequence,
     d_sequence,
-    d_sequence_period,
     format_sequence,
     harden,
     parse_sequence,
@@ -65,7 +64,6 @@ __all__ = [
     "brute_force_attack",
     "count_primes",
     "d_sequence",
-    "d_sequence_period",
     "estimate_search_space",
     "exact_hypothesis_count",
     "format_sequence",

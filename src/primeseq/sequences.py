@@ -8,7 +8,6 @@ autocorrelation.
 """
 from __future__ import annotations
 
-import math
 import random
 from collections import namedtuple
 
@@ -78,34 +77,12 @@ def d_sequence(q: int, length: int) -> BitSequence:
     return BitSequence(length, (1 << length) // q)
 
 
-def d_sequence_period(q: int) -> int:
-    """Multiplicative order of 2 mod q, the period of the q D-sequence.
-
-    Checks divisors of q-1 in ascending order; the order always divides q-1.
-    """
-    _check_modulus(q)
-    for d in _sorted_divisors(q - 1):
-        if pow(2, d, q) == 1:
-            return d
-    raise AssertionError("unreachable: ord divides q-1 for odd prime q")
-
-
 def _check_modulus(q: int) -> None:
     # the size cap comes first, so no trial division runs past it
     if q > D_SEQUENCE_MAX_MODULUS:
         raise ValueError(f"modulus {q} exceeds supported maximum {D_SEQUENCE_MAX_MODULUS}")
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"modulus must be an odd prime, got {q}")
-
-
-def _sorted_divisors(n: int) -> list[int]:
-    small, large = [], []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
 
 
 def binary_primes_sequence(n: int, shift_set: ShiftSet) -> BitSequence:

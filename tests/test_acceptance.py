@@ -33,7 +33,6 @@ from primeseq import (
     brute_force_attack,
     count_primes,
     d_sequence,
-    d_sequence_period,
     exact_hypothesis_count,
     harden,
     off_peak_stats,
@@ -47,6 +46,7 @@ from conftest import (
     oracle_autocorrelation,
     oracle_bps_bits,
     oracle_d_bits,
+    oracle_mult_order_of_two,
     oracle_offpeak,
     oracle_primes_upto,
     oracle_randomness,
@@ -247,7 +247,7 @@ def test_c07_oracle_equivalence_corpus():
 def test_c08_d_sequence_properties():
     with criterion("8", "D-sequence periods divide q-1 and repeat exactly over two periods", 5.0):
         for q in (3, 5, 7, 11, 13, 19, 199, 997):
-            t = d_sequence_period(q)
+            t = oracle_mult_order_of_two(q)
             assert (q - 1) % t == 0
             seq = d_sequence(q, 2 * t)
             assert bits_of(seq)[:t] == bits_of(seq)[t:]

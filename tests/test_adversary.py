@@ -237,6 +237,46 @@ def test_attack_matches_oracle_at_caps(bits, planted):
         assert {"q": 29, "shifts": [0, 3, 7], "matched": True} in expected["consistent_hypotheses"]
 
 
+def test_attack_counts_every_hypothesis_at_every_accepted_size():
+    for n in range(3, ATTACK_MAX_LENGTH + 1):
+        observed = seq_of((0,) * n)
+        for l_max in range(1, min(3, n - 1) + 1):
+            tested = brute_force_attack(observed, l_max).hypotheses_tested
+            assert tested == exact_hypothesis_count(n, l_max), (n, l_max)
+
+
+def peel_edge_cases(n, l_max):
+    # (name, observed bits, shift sets expected at q) where each peel rule bites
+    q = oracle_attack_moduli(n)[-1]
+    planted = oracle_planted_bits(q, (0, 1), n)
+    cases = [
+        # residual 0 at q: the empty set is no hypothesis, {n - 1} adds a zero row
+        ("residual-zero", oracle_planted_bits(q, (0,), n), [[0, n - 1]]),
+        ("shift-n-2", oracle_planted_bits(q, (0, n - 2), n),
+         [[0, n - 2]] + ([[0, n - 2, n - 1]] if l_max >= 2 else [])),
+        ("position-1", [1 - planted[0]] + planted[1:], []),
+        ("position-2", planted[:1] + [1 - planted[1]] + planted[2:], []),
+    ]
+    if n - 1 - l_max >= 1:
+        full = list(range(n - 1 - l_max, n - 1))  # l_max shifts, so no n - 1 variant
+        cases.append(("full-set", oracle_planted_bits(q, (0, *full), n), [[0, *full]]))
+    if n - 2 - l_max >= 1:
+        beyond = range(n - 2 - l_max, n - 1)  # one peel more than l_max allows
+        cases.append(("l_max+1-peels", oracle_planted_bits(q, (0, *beyond), n), []))
+    return q, cases
+
+
+@pytest.mark.parametrize("n, l_max", [(n, l) for n in (3, 4, 5, 12)
+                                      for l in range(1, min(3, n - 1) + 1)])
+def test_attack_peel_edge_cases_match_oracle(n, l_max):
+    q, cases = peel_edge_cases(n, l_max)
+    for name, bits, expected_at_q in cases:
+        expected = oracle_brute_force(bits, l_max)
+        assert brute_force_attack(seq_of(bits), l_max).as_dict() == expected, name
+        found = [h["shifts"] for h in expected["consistent_hypotheses"] if h["q"] == q]
+        assert found == expected_at_q, name
+
+
 # --- assembled estimate ----------------------------------------------------------
 
 def test_estimate_search_space_exact_count_presence():

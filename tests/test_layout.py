@@ -140,13 +140,12 @@ def _used_names(tree):
 
 
 def test_every_module_level_function_has_a_caller():
-    # a function only the tests call is surface to delete; d_sequence_period
-    # stays because acceptance criterion 8 checks the period of a D-sequence
+    # a function only the tests call is surface to delete
     trees = list(_modules().values()) + [ast.parse(path.read_text(), str(path))
                                          for path in sorted(BENCH.glob("*.py"))]
     used = set().union(*map(_used_names, trees))
     defined = {node.name for tree in _modules().values() for node in tree.body
                if isinstance(node, ast.FunctionDef)}
-    uncalled = sorted(name for name in defined - {"d_sequence_period"}
-                      if not any(owner != name and used_name == name for owner, used_name in used))
+    uncalled = sorted(name for name in defined if not any(
+        owner != name and used_name == name for owner, used_name in used))
     assert not uncalled, f"never called in the package or bench/: {uncalled}"

@@ -7,7 +7,6 @@ from primeseq import (
     ShiftSet,
     binary_primes_sequence,
     d_sequence,
-    d_sequence_period,
     format_sequence,
     harden,
     parse_sequence,
@@ -20,7 +19,6 @@ from conftest import (
     oracle_bps_bits,
     oracle_d_bits,
     oracle_is_prime,
-    oracle_mult_order_of_two,
     oracle_primes_upto,
     seq_of,
 )
@@ -120,29 +118,6 @@ def test_d_sequence_modulus_cap_refuses_before_trial_division(monkeypatch):
     monkeypatch.setattr(sequences, "is_prime", trial_division)
     with pytest.raises(ValueError, match=f"exceeds supported maximum {D_SEQUENCE_MAX_MODULUS}"):
         d_sequence(q, 64)
-    with pytest.raises(ValueError, match=f"exceeds supported maximum {D_SEQUENCE_MAX_MODULUS}"):
-        d_sequence_period(q)
-
-
-@pytest.mark.parametrize("q, expected", [(7, 3), (13, 12), (3, 2)])
-def test_d_sequence_period_examples(q, expected):
-    assert d_sequence_period(q) == expected
-
-
-@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 19, 199, 997])
-def test_d_sequence_period_matches_brute_force_and_divides(q):
-    t = d_sequence_period(q)
-    assert t == oracle_mult_order_of_two(q)
-    assert (q - 1) % t == 0
-    seq = d_sequence(q, 2 * t)
-    assert bits_of(seq)[:t] == bits_of(seq)[t:]
-
-
-def test_d_sequence_period_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        d_sequence_period(9)
-    with pytest.raises(ValueError):
-        d_sequence_period(2)
 
 
 # --- binary primes sequences ------------------------------------------------
