@@ -36,7 +36,6 @@ from .analysis import (
 )
 from .adversary import (
     AttackResult,
-    SearchSpaceEstimate,
     brute_force_attack,
     estimate_search_space,
     exact_hypothesis_count,
@@ -54,7 +53,6 @@ __all__ = [
     "CorrelationSeries",
     "DEFAULT_CONVENTION",
     "PrimeTable",
-    "SearchSpaceEstimate",
     "ShiftSet",
     "all_conventions",
     "analyze",

@@ -4,9 +4,11 @@ Two closed-form search-space figures are exposed side by side because the
 headline expression N^2/(2 ln N) * N^(N/ln N) and the product of its three
 stated factors, (N/ln N) * (ln N)/2 * N^((ln N)/2), differ enormously. Both
 are computed in the log domain; the exact combinatorial count is the ground
-truth at small N. The toy attack decides every (prime, shift set) pair the
-count names, but B(k) is linear in the shift set and its rows are
-triangular, so each candidate prime is decided by at most l_max row XORs.
+truth at small N. ``estimate_search_space`` returns all three as the
+JSON-ready dict that ``primeseq complexity`` prints. The toy attack decides
+every (prime, shift set) pair the count names, but B(k) is linear in the
+shift set and its rows are triangular, so each candidate prime is decided by
+at most l_max row XORs.
 """
 from __future__ import annotations
 
@@ -26,12 +28,6 @@ ATTACK_MAX_ADDED_SHIFTS = 3
 # Largest n the closed-form figures take: they divide n^2 and n by floats, so
 # n^2 must convert to a double, which fails from just below n = 2^512.
 _FORMULA_MAX_N = math.isqrt(int(sys.float_info.max))
-
-
-class SearchSpaceEstimate(namedtuple(
-    "SearchSpaceEstimate", "log10_paper_formula log10_consistent_formula exact_count"
-)):
-    __slots__ = ()
 
 
 class AttackResult(namedtuple("AttackResult", "consistent_hypotheses hypotheses_tested")):
@@ -134,19 +130,20 @@ def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
     return AttackResult(tuple(matches), len(candidates) * _shift_set_count(n, l_max))
 
 
-def estimate_search_space(n: int, l_max: int = ATTACK_MAX_ADDED_SHIFTS) -> SearchSpaceEstimate:
-    """Assemble both log-domain figures plus the exact count where tractable.
+def estimate_search_space(n: int, l_max: int = ATTACK_MAX_ADDED_SHIFTS) -> dict[str, object]:
+    """Both log-domain figures plus the exact count where tractable, as a JSON-ready dict.
 
-    The exact count is attached only for n small enough that the toy attack
-    could actually walk the space (n <= ATTACK_MAX_LENGTH). l_max below 1 is
-    refused for every n; above n - 1 it is clamped to n - 1.
+    The "exact_count" key is present only for n small enough that the toy
+    attack could actually walk the space (n <= ATTACK_MAX_LENGTH). l_max
+    below 1 is refused for every n; above n - 1 it is clamped to n - 1.
     """
-    paper = search_space_log10_paper(n)
-    consistent = search_space_log10_consistent(n)
-    exact: int | None = None
+    payload: dict[str, object] = {
+        "log10_paper_formula": search_space_log10_paper(n),
+        "log10_consistent_formula": search_space_log10_consistent(n),
+    }
     if n <= ATTACK_MAX_LENGTH:
-        exact = exact_hypothesis_count(n, min(l_max, n - 1))
+        payload["exact_count"] = exact_hypothesis_count(n, min(l_max, n - 1))
     elif l_max < 1:
         # exact_hypothesis_count checks l_max where it runs; here nothing else does
         raise ValueError(f"l_max must be >= 1, got {l_max}")
-    return SearchSpaceEstimate(paper, consistent, exact)
+    return payload

@@ -1,7 +1,10 @@
 """Command-line surface: generate, analyze, harden, count and reproduce.
 
+The CLI only parses, dispatches and prints: every size limit and every JSON
+payload comes from the library function that owns it.
+
 Exit codes: 0 success, 2 usage error, 3 domain error (bad modulus, bad
-shifts, malformed sequence file), 4 I/O error.
+shifts, malformed sequence file, a size the library refuses), 4 I/O error.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from pathlib import Path
 
 from .adversary import brute_force_attack, estimate_search_space
 from .analysis import CorrelationConvention, analyze
-from .primes import DEFAULT_SIEVE_LIMIT, recommended_shift_count
+from .primes import recommended_shift_count
 from .reproduce import TARGET_IDS, make_target, run_target, write_correlation_csv
 from .sequences import (
     BitSequence,
@@ -41,11 +44,6 @@ def _parse_shifts(text: str) -> tuple[int, ...]:
     return values
 
 
-def _check_size(name: str, value: int) -> None:
-    if value > DEFAULT_SIEVE_LIMIT:
-        raise ValueError(f"{name}={value} exceeds supported maximum {DEFAULT_SIEVE_LIMIT}")
-
-
 def _resolve_shifts(n: int, shifts_arg: str | None, seed: int | None) -> ShiftSet:
     # explicit values win; otherwise pick recommended-count shifts, randomly
     # when a seed is given, evenly spaced when not
@@ -54,23 +52,10 @@ def _resolve_shifts(n: int, shifts_arg: str | None, seed: int | None) -> ShiftSe
     return select_shifts(n, recommended_shift_count(n), seed)
 
 
-def _emit_sequence(seq: BitSequence, metadata: dict[str, object], out: str | None) -> None:
-    text = format_sequence(seq, metadata)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
-def _read_sequence(path: str) -> BitSequence:
-    return parse_sequence(Path(path).read_text())
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "bps":
         if args.n is None:
             raise ValueError("gen bps requires --n")
-        _check_size("n", args.n)
         shifts = _resolve_shifts(args.n, args.shifts, args.seed)
         seq = binary_primes_sequence(args.n, shifts)
         meta = {"kind": "bps", "n": args.n,
@@ -79,9 +64,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.q is None:
             raise ValueError(f"gen {args.kind} requires --q")
         length = args.len if args.len is not None else args.q
-        # q is never sieved; its cap bounds the trial division in d_sequence
-        _check_size("q", args.q)
-        _check_size("len", length)
         meta = {"kind": args.kind, "q": args.q, "n": length}
         if args.kind == "dseq":
             seq = d_sequence(args.q, length)
@@ -91,13 +73,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             seq = harden(d_sequence(args.q, length), binary_primes_sequence(length, shifts))
             meta["shifts"] = ",".join(str(s) for s in shifts.shifts)
     label = " ".join(f"{k}={v}" for k, v in meta.items())
-    seq = BitSequence(seq.length, seq.value, label)
-    _emit_sequence(seq, meta, args.out)
+    text = format_sequence(BitSequence(seq.length, seq.value, label), meta)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text)
     return EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    seq = _read_sequence(args.input)
+    seq = parse_sequence(Path(args.input).read_text())
     conv = CorrelationConvention(args.convention, args.normalize)
     report = analyze(seq, conv)
     print(json.dumps(report.as_dict()))
@@ -114,19 +99,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
-    estimate = estimate_search_space(args.n, args.l_max)
-    payload: dict[str, object] = {
-        "log10_paper_formula": estimate.log10_paper_formula,
-        "log10_consistent_formula": estimate.log10_consistent_formula,
-    }
-    if estimate.exact_count is not None:
-        payload["exact_count"] = estimate.exact_count
-    print(json.dumps(payload))
+    print(json.dumps(estimate_search_space(args.n, args.l_max)))
     return EXIT_OK
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    result = brute_force_attack(_read_sequence(args.input), args.l_max)
+    result = brute_force_attack(parse_sequence(Path(args.input).read_text()), args.l_max)
     print(json.dumps(result.as_dict()))
     return EXIT_OK
 

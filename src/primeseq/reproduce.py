@@ -101,13 +101,9 @@ def write_correlation_csv(path: str | Path, series: CorrelationSeries) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
-    # imported here so gen, analyze, attack and complexity start without it
-    import csv
-
+    # no field holds a comma, quote or line break, so none needs quoting
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 def _run_table(target: ReproductionTarget, published, shifts: tuple[int, ...]) -> dict[str, object]:

@@ -119,10 +119,13 @@ def select_shifts(n: int, l: int, seed: int | None = None) -> ShiftSet:
 
     Without a seed the offsets are evenly spaced, round(i*n/(l+1)) for
     i=1..l, probing rightward past collisions; with one they are l distinct
-    draws from 1..n-1, reproducible for that seed.
+    draws from 1..n-1, reproducible for that seed. n is capped at the sieve's
+    DEFAULT_SIEVE_LIMIT, the longest binary primes sequence the set can shift.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    if n > DEFAULT_SIEVE_LIMIT:
+        raise ValueError(f"n {n} exceeds supported maximum {DEFAULT_SIEVE_LIMIT}")
     if not 1 <= l <= n - 1:
         raise ValueError(f"added shift count must be in 1..{n - 1}, got {l}")
     if seed is not None:

@@ -281,7 +281,8 @@ def test_attack_peel_edge_cases_match_oracle(n, l_max):
 
 def test_estimate_search_space_exact_count_presence():
     small = estimate_search_space(10, l_max=2)
-    assert small.exact_count == 180
+    assert list(small) == ["log10_paper_formula", "log10_consistent_formula", "exact_count"]
+    assert small["exact_count"] == 180
     large = estimate_search_space(1000)
-    assert large.exact_count is None
-    assert large.log10_paper_formula > large.log10_consistent_formula
+    assert list(large) == ["log10_paper_formula", "log10_consistent_formula"]
+    assert large["log10_paper_formula"] > large["log10_consistent_formula"]

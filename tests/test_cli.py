@@ -25,6 +25,8 @@ from primeseq.analysis import ANALYSIS_MAX_LENGTH
 from primeseq.cli import main
 from primeseq.reproduce import _CSV_BLOCK
 
+from conftest import oracle_d_bits
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -121,7 +123,26 @@ def test_gen_domain_errors(capsys):
 def test_gen_dseq_length_bound(capsys):
     code, out, err = run_cli(capsys, "gen", "dseq", "--q", "3", "--len", "20000000")
     assert code == 3 and out == ""
-    assert "len=20000000 exceeds supported maximum" in err
+    assert "length 20000000 exceeds supported maximum 16777216" in err
+
+
+def test_gen_dseq_modulus_above_sieve_cap(capsys):
+    # the CLI takes d_sequence's own 2^40 cap on q, not the sieve's 2^24
+    code, out, err = run_cli(capsys, "gen", "dseq", "--q", "16777259", "--len", "64")
+    assert code == 0 and err == ""
+    body = [line for line in out.splitlines() if not line.startswith("#")]
+    assert body == ["".join(map(str, oracle_d_bits(16777259, 64)))]
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "bps", "--n", "1000000000000000000000", "--seed", "1"),
+    ("gen", "hardened", "--q", "13", "--len", "1000000000000000000000", "--seed", "1"),
+], ids=["bps", "hardened"])
+def test_gen_refuses_oversized_length_before_sieving(capsys, sieve_limits, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "exceeds supported maximum 16777216" in err
+    assert sieve_limits == []
 
 
 def test_gen_sieves_only_the_bps_length(capsys, sieve_limits):

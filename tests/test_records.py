@@ -17,7 +17,6 @@ from primeseq import (
     CorrelationSeries,
     DEFAULT_CONVENTION,
     PrimeTable,
-    SearchSpaceEstimate,
     ShiftSet,
     analyze,
     sieve_primes,
@@ -31,7 +30,6 @@ RECORDS = {
     "CorrelationConvention": lambda: CorrelationConvention("raw01", "by-peak"),
     "CorrelationSeries": lambda: CorrelationSeries((1.0, -0.2, 0.6), DEFAULT_CONVENTION),
     "AnalysisReport": lambda: analyze(BitSequence(10, 0b0101111100, "sum")),
-    "SearchSpaceEstimate": lambda: SearchSpaceEstimate(5.68, 1.85, 516),
     "AttackResult": lambda: AttackResult(((11, ShiftSet((0, 1))),), 36),
     "ReproductionTarget": lambda: ReproductionTarget("fig1", Path("fig1.csv")),
 }

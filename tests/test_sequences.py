@@ -254,6 +254,13 @@ def test_select_shifts_bounds():
         select_shifts(10, 10)
     with pytest.raises(ValueError):
         select_shifts(10, 0)
+    # n past the sieve cap is refused before random.sample, which would
+    # raise OverflowError on a range this long
+    with pytest.raises(ValueError, match="exceeds supported maximum 16777216"):
+        select_shifts(2**63 + 10, 3, seed=1)
+    with pytest.raises(ValueError, match="exceeds supported maximum 16777216"):
+        select_shifts((1 << 24) + 1, 3)
+    assert max(select_shifts(1 << 24, 3, seed=1).shifts) < 1 << 24
 
 
 # --- balancing claim ---------------------------------------------------------
