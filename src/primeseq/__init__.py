@@ -14,7 +14,6 @@ from .primes import (
 )
 from .sequences import (
     BitSequence,
-    ShiftSet,
     binary_primes_sequence,
     d_sequence,
     format_sequence,
@@ -53,7 +52,6 @@ __all__ = [
     "CorrelationSeries",
     "DEFAULT_CONVENTION",
     "PrimeTable",
-    "ShiftSet",
     "all_conventions",
     "analyze",
     "autocorrelation",

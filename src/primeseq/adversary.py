@@ -18,7 +18,7 @@ from collections import namedtuple
 from itertools import count, islice
 
 from .primes import count_primes, is_prime, pnt_estimate
-from .sequences import BitSequence, ShiftSet, binary_primes_sequence, d_sequence
+from .sequences import BitSequence, binary_primes_sequence, d_sequence
 
 # Attack caps. At n = 24, l_max = 3 the attack peels 9 candidates: about
 # 0.06 ms in brute_force_attack and 1.3 ms for an in-process CLI `attack` on a
@@ -37,7 +37,7 @@ class AttackResult(namedtuple("AttackResult", "consistent_hypotheses hypotheses_
         # wire format: the hypothesis array plus the count, nothing else
         return {
             "consistent_hypotheses": [
-                {"q": q, "shifts": list(shifts.shifts), "matched": True}
+                {"q": q, "shifts": list(shifts), "matched": True}
                 for q, shifts in self.consistent_hypotheses
             ],
             "hypotheses_tested": self.hypotheses_tested,
@@ -107,12 +107,12 @@ def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
 
     # indicator row over positions 1..n; added shift a contributes base >> a,
     # whose first one is at position a + 2, and base >> (n - 1) is 0
-    base = binary_primes_sequence(n, ShiftSet((0,))).value
+    base = binary_primes_sequence(n, (0,)).value
     # pi(n) candidates, the popcount of the indicator row, taken from the
     # first prime >= n upwards: a D-sequence modulus below its own emitted
     # length would repeat inside the window
     candidates = list(islice(filter(is_prime, count(n)), base.bit_count()))
-    matches: list[tuple[int, ShiftSet]] = []
+    matches: list[tuple[int, tuple[int, ...]]] = []
     for q in candidates:
         residual = observed.value ^ d_sequence(q, n).value ^ base
         added: list[int] = []
@@ -125,7 +125,7 @@ def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
         if not residual:
             # added is the one triangular solution; n - 1 adds a zero row.
             # Candidates ascend, so matches come out ordered by q then shifts
-            matches.extend((q, ShiftSet((0, *s))) for s in (added, [*added, n - 1])
+            matches.extend((q, (0, *s)) for s in (added, [*added, n - 1])
                            if 1 <= len(s) <= l_max)
     return AttackResult(tuple(matches), len(candidates) * _shift_set_count(n, l_max))
 

@@ -15,11 +15,9 @@ from pathlib import Path
 
 from .adversary import brute_force_attack, estimate_search_space
 from .analysis import CorrelationConvention, analyze
-from .primes import recommended_shift_count
 from .reproduce import TARGET_IDS, make_target, run_target, write_correlation_csv
 from .sequences import (
     BitSequence,
-    ShiftSet,
     binary_primes_sequence,
     d_sequence,
     format_sequence,
@@ -44,12 +42,12 @@ def _parse_shifts(text: str) -> tuple[int, ...]:
     return values
 
 
-def _resolve_shifts(n: int, shifts_arg: str | None, seed: int | None) -> ShiftSet:
-    # explicit values win; otherwise pick recommended-count shifts, randomly
-    # when a seed is given, evenly spaced when not
+def _resolve_shifts(n: int, shifts_arg: str | None, seed: int | None) -> tuple[int, ...]:
+    # explicit values win, checked only by binary_primes_sequence; otherwise
+    # recommended-count shifts, random when a seed is given, evenly spaced if not
     if shifts_arg is not None:
-        return ShiftSet(_parse_shifts(shifts_arg))
-    return select_shifts(n, recommended_shift_count(n), seed)
+        return _parse_shifts(shifts_arg)
+    return select_shifts(n, seed)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -58,8 +56,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise ValueError("gen bps requires --n")
         shifts = _resolve_shifts(args.n, args.shifts, args.seed)
         seq = binary_primes_sequence(args.n, shifts)
-        meta = {"kind": "bps", "n": args.n,
-                "shifts": ",".join(str(s) for s in shifts.shifts)}
+        meta = {"kind": "bps", "n": args.n, "shifts": ",".join(map(str, sorted(shifts)))}
     else:  # dseq or hardened
         if args.q is None:
             raise ValueError(f"gen {args.kind} requires --q")
@@ -68,10 +65,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.kind == "dseq":
             seq = d_sequence(args.q, length)
         else:
-            # shifts are resolved first, so a bad --shifts is reported before a bad --q
+            # d_sequence runs before binary_primes_sequence, so a length both
+            # refuse is reported with d_sequence's message
             shifts = _resolve_shifts(length, args.shifts, args.seed)
             seq = harden(d_sequence(args.q, length), binary_primes_sequence(length, shifts))
-            meta["shifts"] = ",".join(str(s) for s in shifts.shifts)
+            meta["shifts"] = ",".join(map(str, sorted(shifts)))
     label = " ".join(f"{k}={v}" for k, v in meta.items())
     text = format_sequence(BitSequence(seq.length, seq.value, label), meta)
     if args.out is None:

@@ -24,7 +24,6 @@ from .analysis import (
 from .primes import recommended_shift_count, sieve_primes
 from .sequences import (
     BitSequence,
-    ShiftSet,
     binary_primes_sequence,
     d_sequence,
     harden,
@@ -108,9 +107,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
 
 def _run_table(target: ReproductionTarget, published, shifts: tuple[int, ...]) -> dict[str, object]:
     n = 10
-    base = binary_primes_sequence(n, ShiftSet((0,))).value
+    base = binary_primes_sequence(n, (0,)).value
     computed_rows = [format(base >> a, f"0{n}b") for a in shifts]
-    computed_rows.append(binary_primes_sequence(n, ShiftSet(shifts)).to01())
+    computed_rows.append(binary_primes_sequence(n, shifts).to01())
 
     rows = []
     mismatched: list[dict[str, object]] = []
@@ -189,7 +188,7 @@ def _offpeak_all_conventions(seq: BitSequence, reference: float) -> list[dict[st
 
 def _run_fig2(target: ReproductionTarget) -> dict[str, object]:
     n, shifts = 997, (0, 11, 77, 111)
-    seq = binary_primes_sequence(n, ShiftSet(shifts))
+    seq = binary_primes_sequence(n, shifts)
     corr = autocorrelation(seq, DEFAULT_CONVENTION)
     write_correlation_csv(target.output_path, corr)
     return {
@@ -204,16 +203,15 @@ def _run_fig2(target: ReproductionTarget) -> dict[str, object]:
 
 
 def _run_fig3(target: ReproductionTarget) -> dict[str, object]:
-    shift_set = ShiftSet(FIG3_SHIFTS)
     rows = []
     for n in FIG3_SWEEP_PRIMES:
-        seq = binary_primes_sequence(n, shift_set)
+        seq = binary_primes_sequence(n, FIG3_SHIFTS)
         r = randomness_measure(autocorrelation(seq, DEFAULT_CONVENTION))
         rows.append([n, _fmt(r)])
     _write_csv(target.output_path, ["n", "randomness"], rows)
 
     # the published scalar claim lives at n=199; record R under every convention
-    seq199 = binary_primes_sequence(199, shift_set)
+    seq199 = binary_primes_sequence(199, FIG3_SHIFTS)
     records = []
     for conv in all_conventions():
         r = randomness_measure(autocorrelation(seq199, conv))
@@ -241,7 +239,7 @@ def _run_fig3(target: ReproductionTarget) -> dict[str, object]:
 
 def _run_hardened_fig(target: ReproductionTarget, q: int, shifts: tuple[int, ...]) -> dict[str, object]:
     pn = d_sequence(q, q)
-    bps = binary_primes_sequence(q, ShiftSet(shifts))
+    bps = binary_primes_sequence(q, shifts)
     hardened_corr = autocorrelation(harden(pn, bps), DEFAULT_CONVENTION)
     write_correlation_csv(target.output_path, hardened_corr)
     max_p, mean_p = off_peak_stats(hardened_corr)
@@ -265,13 +263,13 @@ def _run_fig6(target: ReproductionTarget) -> dict[str, object]:
     primes = [p for p in range(lo, hi + 1) if table.is_prime[p]]
     rows = []
     for p in primes:
-        shift_set = select_shifts(p, recommended_shift_count(p))
-        bps = binary_primes_sequence(p, shift_set)
+        shifts = select_shifts(p)
+        bps = binary_primes_sequence(p, shifts)
         pn = d_sequence(p, p)
         hardened = harden(pn, bps)
         _, mean_b = off_peak_stats(autocorrelation(bps, DEFAULT_CONVENTION))
         _, mean_p = off_peak_stats(autocorrelation(hardened, DEFAULT_CONVENTION))
-        rows.append([p, _fmt(mean_b), _fmt(mean_p), ";".join(str(s) for s in shift_set.shifts)])
+        rows.append([p, _fmt(mean_b), _fmt(mean_p), ";".join(map(str, shifts))])
     _write_csv(
         target.output_path,
         ["prime", "mean_offpeak_b", "mean_offpeak_p", "shifts"],

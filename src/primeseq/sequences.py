@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .primes import DEFAULT_SIEVE_LIMIT, is_prime, sieve_primes
+from .primes import DEFAULT_SIEVE_LIMIT, is_prime, recommended_shift_count, sieve_primes
 
 # Largest D-sequence modulus accepted: its trial-division primality check takes
 # about 0.05 s here on a 2-vCPU Xeon and grows with sqrt(q) beyond.
@@ -41,26 +41,6 @@ class BitSequence(namedtuple("BitSequence", "length value label")):
         return format(self.value, f"0{self.length}b")
 
 
-class ShiftSet(namedtuple("ShiftSet", "shifts")):
-    """Distinct non-negative shift offsets, always containing the unshifted 0.
-
-    Stored sorted ascending. The added count L excludes the mandatory 0, so
-    a set built from (0, 7, 11, 22) has L = 3.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, shifts: tuple[int, ...]):
-        ordered = tuple(sorted(shifts))
-        if len(set(ordered)) != len(ordered):
-            raise ValueError(f"duplicate shift offsets in {shifts}")
-        if any(s < 0 for s in ordered):
-            raise ValueError(f"shift offsets must be non-negative, got {shifts}")
-        if not ordered or ordered[0] != 0:
-            raise ValueError("shift set must contain the unshifted offset 0")
-        return super().__new__(cls, ordered)
-
-
 def d_sequence(q: int, length: int) -> BitSequence:
     """Parity trace of the powers of two modulo q: bit i is (2^i mod q) mod 2.
 
@@ -85,21 +65,29 @@ def _check_modulus(q: int) -> None:
         raise ValueError(f"modulus must be an odd prime, got {q}")
 
 
-def binary_primes_sequence(n: int, shift_set: ShiftSet) -> BitSequence:
+def binary_primes_sequence(n: int, shifts: tuple[int, ...]) -> BitSequence:
     """XOR of zero-fill-shifted copies of the prime indicator row over positions 1..n.
 
-    Bit k is the GF(2) sum over the shift set of "is k - a prime", where terms
-    with k - a < 2 contribute nothing. With the single offset 0 this is the raw
-    indicator row itself. The primes up to n come from ``sieve_primes(n)``,
-    whose cap bounds n.
+    ``shifts`` holds distinct non-negative offsets below n, the unshifted 0
+    among them, in any order. Bit k is the GF(2) sum over the offsets of "is
+    k - a prime", where terms with k - a < 2 contribute nothing. With the
+    single offset 0 this is the raw indicator row itself. The primes up to n
+    come from ``sieve_primes(n)``, whose cap bounds n.
     """
+    # the offsets are checked before n, so a bad set is reported whatever n is
+    if len(set(shifts)) != len(shifts):
+        raise ValueError(f"duplicate shift offsets in {shifts}")
+    if any(s < 0 for s in shifts):
+        raise ValueError(f"shift offsets must be non-negative, got {shifts}")
+    if 0 not in shifts:
+        raise ValueError("shift set must contain the unshifted offset 0")
     if n < 2:
         raise ValueError(f"sequence length must be >= 2, got {n}")
-    if max(shift_set.shifts) >= n:
-        raise ValueError(f"shift {max(shift_set.shifts)} out of range for length {n}")
+    if max(shifts) >= n:
+        raise ValueError(f"shift {max(shifts)} out of range for length {n}")
     row = int(sieve_primes(n).is_prime[1:].translate(_INDICATOR_TO01), 2)
     value = 0
-    for a in shift_set.shifts:
+    for a in shifts:
         value ^= row >> a
     return BitSequence(n, value)
 
@@ -114,36 +102,23 @@ def harden(pn: BitSequence, bps: BitSequence) -> BitSequence:
     return BitSequence(pn.length, pn.value ^ bps.value)
 
 
-def select_shifts(n: int, l: int, seed: int | None = None) -> ShiftSet:
-    """Build a shift set of l added offsets (plus the mandatory 0) for length n.
+def select_shifts(n: int, seed: int | None = None) -> tuple[int, ...]:
+    """The sorted shift set for length n: 0 plus l = recommended_shift_count(n) offsets.
 
-    Without a seed the offsets are evenly spaced, round(i*n/(l+1)) for
-    i=1..l, probing rightward past collisions; with one they are l distinct
-    draws from 1..n-1, reproducible for that seed. n is capped at the sieve's
-    DEFAULT_SIEVE_LIMIT, the longest binary primes sequence the set can shift.
+    Without a seed the offsets are evenly spaced, i*n/(l+1) rounded half up
+    for i=1..l; those points are at least 1 apart, so the offsets are distinct
+    and lie in 1..n-1. With a seed they are l distinct draws from 1..n-1,
+    reproducible for that seed. n is capped at the sieve's DEFAULT_SIEVE_LIMIT,
+    the longest binary primes sequence the set can shift.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if n > DEFAULT_SIEVE_LIMIT:
         raise ValueError(f"n {n} exceeds supported maximum {DEFAULT_SIEVE_LIMIT}")
-    if not 1 <= l <= n - 1:
-        raise ValueError(f"added shift count must be in 1..{n - 1}, got {l}")
+    l = recommended_shift_count(n)
     if seed is not None:
-        return ShiftSet((0, *random.Random(seed).sample(range(1, n), l)))
-    used = {0}
-    for i in range(1, l + 1):
-        c = _round_half_up_ratio(i * n, l + 1)
-        while c in used:
-            c += 1
-            if c >= n:
-                c = 1
-        used.add(c)
-    return ShiftSet(tuple(used))
-
-
-def _round_half_up_ratio(a: int, b: int) -> int:
-    # round(a / b) with halves away from zero, in exact integer arithmetic
-    return (2 * a + b) // (2 * b)
+        return (0, *sorted(random.Random(seed).sample(range(1, n), l)))
+    return tuple((2 * i * n + l + 1) // (2 * (l + 1)) for i in range(l + 1))
 
 
 # --- sequence text format -------------------------------------------------

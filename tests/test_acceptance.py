@@ -27,7 +27,6 @@ import pytest
 
 from primeseq import (
     DEFAULT_CONVENTION,
-    ShiftSet,
     autocorrelation,
     binary_primes_sequence,
     brute_force_attack,
@@ -257,9 +256,9 @@ def test_c08_d_sequence_properties():
 def test_c09_adversary_soundness_completeness():
     with criterion("9", "toy attack recovers the planted key and counts 36 / 180 hypotheses", 10.0):
         pn = d_sequence(13, 10)
-        observed = harden(pn, binary_primes_sequence(10, ShiftSet((0, 1))))
+        observed = harden(pn, binary_primes_sequence(10, (0, 1)))
         result = brute_force_attack(observed, 1)
-        assert (13, ShiftSet((0, 1))) in result.consistent_hypotheses
+        assert (13, (0, 1)) in result.consistent_hypotheses
         assert result.hypotheses_tested == 36
         wider = brute_force_attack(observed, 2)
         assert wider.hypotheses_tested == 180

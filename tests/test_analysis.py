@@ -9,7 +9,6 @@ from primeseq import (
     CorrelationConvention,
     CorrelationSeries,
     DEFAULT_CONVENTION,
-    ShiftSet,
     all_conventions,
     analyze,
     autocorrelation,
@@ -35,7 +34,7 @@ bits_st = st.lists(st.sampled_from((0, 1)), min_size=2, max_size=64).map(tuple)
 
 def _hardened_bits(q, shifts):
     pn = d_sequence(q, q)
-    return bits_of(harden(pn, binary_primes_sequence(q, ShiftSet(shifts))))
+    return bits_of(harden(pn, binary_primes_sequence(q, shifts)))
 
 
 # a length the kernel runs at in the reproduce targets and the CLI, far past
@@ -182,7 +181,7 @@ def test_lag_sum_invariants_at_length_cap():
     n = ANALYSIS_MAX_LENGTH
     assert n == 1 << 20
     pn = d_sequence(1048573, n)
-    x = harden(pn, binary_primes_sequence(n, ShiftSet((0, 5, 1000, 77777)))).value
+    x = harden(pn, binary_primes_sequence(n, (0, 5, 1000, 77777))).value
     _assert_lag_sum_invariants(x, n)
 
 
@@ -273,14 +272,14 @@ def test_randomness_fully_structured_inputs():
 def test_randomness_199_published_set():
     # regression value from the double-loop oracle; the published reference
     # figure 0.9949 for this sequence is not attained under any convention
-    seq = binary_primes_sequence(199, ShiftSet((0, 7, 11, 22)))
+    seq = binary_primes_sequence(199, (0, 7, 11, 22))
     r = randomness_measure(autocorrelation(seq))
     assert r == pytest.approx(0.9259428455408355, abs=1e-12)
     assert r == pytest.approx(oracle_randomness(oracle_autocorrelation(bits_of(seq))), abs=1e-12)
 
 
 def test_randomness_grows_with_length():
-    shift_set = ShiftSet((0, 7, 11, 22))
+    shift_set = (0, 7, 11, 22)
     r = {
         n: randomness_measure(autocorrelation(binary_primes_sequence(n, shift_set)))
         for n in (50, 199)
@@ -295,7 +294,7 @@ def test_off_peak_stats_examples():
     max_off, mean_off = off_peak_stats(autocorrelation(seq))
     assert max_off == oracle_max
     assert mean_off == pytest.approx(oracle_mean, abs=1e-12)
-    b997 = binary_primes_sequence(997, ShiftSet((0, 11, 77, 111)))
+    b997 = binary_primes_sequence(997, (0, 11, 77, 111))
     max_off, mean_off = off_peak_stats(autocorrelation(b997))
     assert 0.0 < mean_off < max_off < 1.0
 
@@ -303,7 +302,7 @@ def test_off_peak_stats_examples():
 def test_balance_examples():
     assert balance(seq_of((0, 1, 0, 1, 1, 1, 1, 1, 0, 0))) == 0.6
     assert balance(seq_of((0, 0, 0))) == 0.0
-    raw = binary_primes_sequence(1000, ShiftSet((0,)))
+    raw = binary_primes_sequence(1000, (0,))
     assert balance(raw) == 0.168
 
 

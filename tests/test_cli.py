@@ -98,6 +98,25 @@ def test_gen_without_shifts_picks_evenly_spaced(capsys):
     assert "# shifts=0,33,67" in out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "head, unsorted, ordered, shown",
+    [(("bps", "--n", "10"), "7,0,3", "0,3,7", "# shifts=0,3,7"),
+     (("hardened", "--q", "13", "--len", "10"), "3,1", "0,1,3", "# shifts=0,1,3")],
+)
+def test_gen_shows_shifts_sorted(capsys, head, unsorted, ordered, shown):
+    code, out, err = run_cli(capsys, "gen", *head, "--shifts", unsorted)
+    assert code == 0 and err == ""
+    assert shown in out.splitlines()
+    assert run_cli(capsys, "gen", *head, "--shifts", ordered) == (0, out, "")
+
+
+def test_gen_shift_refusals_echo_the_given_order(capsys):
+    code, out, err = run_cli(capsys, "gen", "bps", "--n", "10", "--shifts", "3,1,1")
+    assert (code, out, err) == (3, "", "error: duplicate shift offsets in (0, 3, 1, 1)\n")
+    code, out, err = run_cli(capsys, "gen", "hardened", "--q", "13", "--len", "10", "--shifts", "4,-2")
+    assert (code, out, err) == (3, "", "error: shift offsets must be non-negative, got (0, 4, -2)\n")
+
+
 def test_gen_seeded_random_shifts_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     run_cli(capsys, "gen", "bps", "--n", "100", "--seed", "11", "--out", str(a))

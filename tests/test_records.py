@@ -3,7 +3,8 @@
 Pins what README promises of every record: fields cannot be assigned, equal
 fields give equal records with equal hashes, a record equals the plain tuple
 of its fields, the constructor's messages are fixed, and ``repr`` leaves out
-the prime bitmap and the correlation series.
+the prime bitmap and the correlation series. A shift set is a plain tuple, so
+its messages come from ``binary_primes_sequence``, the one function taking it.
 """
 from pathlib import Path
 
@@ -17,8 +18,8 @@ from primeseq import (
     CorrelationSeries,
     DEFAULT_CONVENTION,
     PrimeTable,
-    ShiftSet,
     analyze,
+    binary_primes_sequence,
     sieve_primes,
 )
 from primeseq.reproduce import ReproductionTarget
@@ -26,11 +27,10 @@ from primeseq.reproduce import ReproductionTarget
 RECORDS = {
     "PrimeTable": lambda: PrimeTable(10, bytes(sieve_primes(10).is_prime)),
     "BitSequence": lambda: BitSequence(4, 0b0110, "demo"),
-    "ShiftSet": lambda: ShiftSet((0, 7, 3)),
     "CorrelationConvention": lambda: CorrelationConvention("raw01", "by-peak"),
     "CorrelationSeries": lambda: CorrelationSeries((1.0, -0.2, 0.6), DEFAULT_CONVENTION),
     "AnalysisReport": lambda: analyze(BitSequence(10, 0b0101111100, "sum")),
-    "AttackResult": lambda: AttackResult(((11, ShiftSet((0, 1))),), 36),
+    "AttackResult": lambda: AttackResult(((11, (0, 1)),), 36),
     "ReproductionTarget": lambda: ReproductionTarget("fig1", Path("fig1.csv")),
 }
 
@@ -69,10 +69,11 @@ def test_bit_sequence_len_is_its_field_count():
         (lambda: BitSequence(0, 0), "sequence must have at least one bit"),
         (lambda: BitSequence(3, 8), "value does not fit in 3 bits"),
         (lambda: BitSequence(3, -1), "value does not fit in 3 bits"),
-        (lambda: ShiftSet((0, 1, 1)), "duplicate shift offsets in (0, 1, 1)"),
-        (lambda: ShiftSet([3, 0, -1]), "shift offsets must be non-negative, got [3, 0, -1]"),
-        (lambda: ShiftSet((1, 2)), "shift set must contain the unshifted offset 0"),
-        (lambda: ShiftSet(()), "shift set must contain the unshifted offset 0"),
+        (lambda: binary_primes_sequence(10, (0, 1, 1)), "duplicate shift offsets in (0, 1, 1)"),
+        (lambda: binary_primes_sequence(10, [3, 0, -1]),
+         "shift offsets must be non-negative, got [3, 0, -1]"),
+        (lambda: binary_primes_sequence(10, (1, 2)), "shift set must contain the unshifted offset 0"),
+        (lambda: binary_primes_sequence(10, ()), "shift set must contain the unshifted offset 0"),
         (lambda: CorrelationConvention("signed"),
          "mapping must be one of ('raw01', 'bipolar'), got 'signed'"),
         (lambda: CorrelationConvention("bipolar", "by-two"),

@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 from primeseq import (
     BitSequence,
     balance,
-    ShiftSet,
     binary_primes_sequence,
     d_sequence,
     format_sequence,
     harden,
     parse_sequence,
+    recommended_shift_count,
     select_shifts,
 )
 from primeseq import sequences
@@ -26,7 +26,7 @@ from conftest import (
 bits_st = st.lists(st.sampled_from((0, 1)), min_size=1, max_size=64).map(tuple)
 
 
-# --- BitSequence / ShiftSet / d_sequence arguments ------------------------
+# --- BitSequence / shift set / d_sequence arguments -----------------------
 
 def test_bit_sequence_validation():
     seq = seq_of((0, 1, 1))
@@ -45,16 +45,12 @@ def test_from_int_range_checked():
 
 
 def test_shift_set_normalizes_and_validates():
-    s = ShiftSet((11, 0, 7, 22))
-    assert s.shifts == (0, 7, 11, 22)
-    assert s.shifts[1:] == (7, 11, 22)
-    assert len(s.shifts) - 1 == 3
-    with pytest.raises(ValueError):
-        ShiftSet((0, 1, 1))
-    with pytest.raises(ValueError):
-        ShiftSet((1, 2))
-    with pytest.raises(ValueError):
-        ShiftSet((0, -3))
+    # binary_primes_sequence takes the offsets in any order and as a list,
+    # and checks them before the length
+    assert binary_primes_sequence(199, (11, 0, 7, 22)) == binary_primes_sequence(199, (0, 7, 11, 22))
+    assert binary_primes_sequence(10, [1, 0]) == binary_primes_sequence(10, (0, 1))
+    with pytest.raises(ValueError, match=r"^duplicate shift offsets in \(0, 0\)$"):
+        binary_primes_sequence(1, (0, 0))
 
 
 def test_d_sequence_spec_validation():
@@ -102,7 +98,7 @@ def test_d_sequence_length_capped_at_sieve_limit():
 
 def test_generated_sequences_carry_no_label():
     pn = d_sequence(13, 10)
-    bps = binary_primes_sequence(10, ShiftSet((0, 1)))
+    bps = binary_primes_sequence(10, (0, 1))
     assert pn.label == bps.label == harden(pn, bps).label == ""
 
 
@@ -123,20 +119,20 @@ def test_d_sequence_modulus_cap_refuses_before_trial_division(monkeypatch):
 # --- binary primes sequences ------------------------------------------------
 
 def test_bps_table1_sum_row():
-    seq = binary_primes_sequence(10, ShiftSet((0, 1)))
+    seq = binary_primes_sequence(10, (0, 1))
     assert seq.to01() == "0101111100"
     assert sum(bits_of(seq)) == 6
 
 
 def test_bps_identity_shift_set():
-    seq = binary_primes_sequence(10, ShiftSet((0,)))
+    seq = binary_primes_sequence(10, (0,))
     assert seq.to01() == "0110101000"
 
 
 def test_bps_two_added_shifts_from_xor_oracle():
     prime_set = set(oracle_primes_upto(10))
     expected = oracle_bps_bits(10, (0, 1, 2), prime_set)
-    seq = binary_primes_sequence(10, ShiftSet((0, 1, 2)))
+    seq = binary_primes_sequence(10, (0, 1, 2))
     assert list(bits_of(seq)) == expected
     assert seq.to01() == "0100010110"
     assert sum(bits_of(seq)) == 4
@@ -151,20 +147,20 @@ def test_bps_matches_oracle(n, data):
     added = data.draw(
         st.lists(st.integers(min_value=1, max_value=n - 1), min_size=0, max_size=4, unique=True)
     )
-    shift_set = ShiftSet((0, *added))
+    shift_set = (0, *added)
     prime_set = set(oracle_primes_upto(n))
     assert list(bits_of(binary_primes_sequence(n, shift_set))) == oracle_bps_bits(
-        n, shift_set.shifts, prime_set
+        n, shift_set, prime_set
     )
 
 
 def test_bps_errors():
     with pytest.raises(ValueError):
-        binary_primes_sequence(10, ShiftSet((0, 10)))
+        binary_primes_sequence(10, (0, 10))
     with pytest.raises(ValueError):
-        binary_primes_sequence(1, ShiftSet((0,)))
+        binary_primes_sequence(1, (0,))
     with pytest.raises(ValueError):
-        binary_primes_sequence((1 << 24) + 1, ShiftSet((0,)))
+        binary_primes_sequence((1 << 24) + 1, (0,))
 
 
 @given(
@@ -180,10 +176,10 @@ def test_bps_gf2_linearity(data, n):
     )
     split = data.draw(st.integers(min_value=1, max_value=len(offsets) - 1))
     s1, s2 = offsets[:split], offsets[split:]
-    combined = binary_primes_sequence(n, ShiftSet((0, *offsets)))
-    left = binary_primes_sequence(n, ShiftSet((0, *s1)))
-    right = binary_primes_sequence(n, ShiftSet((0, *s2)))
-    base = binary_primes_sequence(n, ShiftSet((0,)))
+    combined = binary_primes_sequence(n, (0, *offsets))
+    left = binary_primes_sequence(n, (0, *s1))
+    right = binary_primes_sequence(n, (0, *s2))
+    base = binary_primes_sequence(n, (0,))
     assert combined.value == left.value ^ right.value ^ base.value
 
 
@@ -191,9 +187,9 @@ def test_bps_zero_fill_prefix():
     # a row shifted by s is zero through position s + 1 (nothing below the
     # first prime at position 2 can contribute): B over (0, s) agrees with the
     # unshifted row there
-    base = bits_of(binary_primes_sequence(50, ShiftSet((0,))))
+    base = bits_of(binary_primes_sequence(50, (0,)))
     for s in (1, 3, 7):
-        row = bits_of(binary_primes_sequence(50, ShiftSet((0, s))))
+        row = bits_of(binary_primes_sequence(50, (0, s)))
         assert row[: s + 1] == base[: s + 1]
         assert row[s + 1] != base[s + 1]
 
@@ -205,7 +201,7 @@ def test_bps_first_position_always_zero(data):
     added = data.draw(
         st.lists(st.integers(min_value=1, max_value=n - 1), min_size=0, max_size=3, unique=True)
     )
-    seq = binary_primes_sequence(n, ShiftSet((0, *added)))
+    seq = binary_primes_sequence(n, (0, *added))
     assert bits_of(seq)[0] == 0
 
 
@@ -213,7 +209,7 @@ def test_bps_first_position_always_zero(data):
 
 def test_harden_example():
     pn = seq_of((0, 0, 0, 1, 0, 0, 1, 1, 1, 0))
-    bps = binary_primes_sequence(10, ShiftSet((0, 1)))
+    bps = binary_primes_sequence(10, (0, 1))
     assert harden(pn, bps).to01() == "0100110010"
 
 
@@ -232,35 +228,37 @@ def test_harden_involution(x, y):
 # --- shift selection ---------------------------------------------------------
 
 def test_select_shifts_evenly_spaced_midpoint():
-    assert select_shifts(10, 1).shifts == (0, 5)
+    assert select_shifts(10) == (0, 5)
 
 
 def test_select_shifts_evenly_spaced_properties():
-    for n, l in ((10, 3), (100, 4), (997, 3), (6, 5)):
-        s = select_shifts(n, l)
-        assert len(s.shifts) - 1 == l
-        assert max(s.shifts) < n
+    # i*n/(l+1) rounded half up, with no collision to step past
+    for n in range(2, 5001):
+        l = recommended_shift_count(n)
+        s = select_shifts(n)
+        assert s == tuple((2 * i * n + l + 1) // (2 * (l + 1)) for i in range(l + 1))
+        assert len(s) == l + 1 and s[0] == 0 and s[-1] < n
+        assert all(a < b for a, b in zip(s, s[1:]))
 
 
 def test_select_shifts_uniform_random_deterministic():
-    a = select_shifts(100, 4, seed=7)
-    b = select_shifts(100, 4, seed=7)
-    assert a == b
-    assert len(a.shifts) - 1 == 4 and max(a.shifts) < 100
+    a = select_shifts(100, seed=7)
+    assert a == select_shifts(100, seed=7) == tuple(sorted(a))
+    assert len(set(a)) == recommended_shift_count(100) + 1 == 3
+    assert a[0] == 0 and a[-1] < 100
+    assert select_shifts(100, 7) == a
 
 
 def test_select_shifts_bounds():
-    with pytest.raises(ValueError):
-        select_shifts(10, 10)
-    with pytest.raises(ValueError):
-        select_shifts(10, 0)
+    with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+        select_shifts(1)
     # n past the sieve cap is refused before random.sample, which would
     # raise OverflowError on a range this long
     with pytest.raises(ValueError, match="exceeds supported maximum 16777216"):
-        select_shifts(2**63 + 10, 3, seed=1)
+        select_shifts(2**63 + 10, seed=1)
     with pytest.raises(ValueError, match="exceeds supported maximum 16777216"):
-        select_shifts((1 << 24) + 1, 3)
-    assert max(select_shifts(1 << 24, 3, seed=1).shifts) < 1 << 24
+        select_shifts((1 << 24) + 1)
+    assert max(select_shifts(1 << 24, seed=1)) < 1 << 24
 
 
 # --- balancing claim ---------------------------------------------------------
@@ -270,20 +268,17 @@ def test_balance_improvement_at_recommended_shifts():
     # shifted copies always improves the ones fraction, though not always
     # into a tight band (even offsets keep prime positions aligned on odd
     # slots, so some of the XOR cancels)
-    from primeseq import recommended_shift_count
-
     for n in (100, 199, 500, 997, 2000):
-        raw = binary_primes_sequence(n, ShiftSet((0,)))
+        raw = binary_primes_sequence(n, (0,))
         raw_frac = sum(bits_of(raw)) / n
         assert raw_frac < 0.3
-        shift_set = select_shifts(n, recommended_shift_count(n))
-        mixed = binary_primes_sequence(n, shift_set)
+        mixed = binary_primes_sequence(n, select_shifts(n))
         assert sum(bits_of(mixed)) / n > raw_frac
 
 
 def test_balance_of_published_shift_sets():
-    b199 = binary_primes_sequence(199, ShiftSet((0, 7, 11, 22)))
-    b997 = binary_primes_sequence(997, ShiftSet((0, 11, 77, 111)))
+    b199 = binary_primes_sequence(199, (0, 7, 11, 22))
+    b997 = binary_primes_sequence(997, (0, 11, 77, 111))
     assert 0.35 <= sum(bits_of(b199)) / 199 <= 0.65
     assert 0.35 <= sum(bits_of(b997)) / 997 <= 0.65
 
@@ -353,9 +348,10 @@ def test_d_sequence_large_matches_oracle():
 
 
 def test_large_sequence_paths_match_oracle():
-    shift_set = select_shifts(N_LARGE, 7, seed=3)
-    bps = binary_primes_sequence(N_LARGE, shift_set)
-    assert list(bits_of(bps)) == oracle_bps_bits(N_LARGE, shift_set.shifts, set(oracle_primes_upto(N_LARGE)))
+    shifts = select_shifts(N_LARGE, seed=3)
+    assert len(shifts) == 6  # the recommended 5 added offsets
+    bps = binary_primes_sequence(N_LARGE, shifts)
+    assert list(bits_of(bps)) == oracle_bps_bits(N_LARGE, shifts, set(oracle_primes_upto(N_LARGE)))
     pn = d_sequence(N_LARGE, N_LARGE)
     hardened = harden(pn, bps)
     assert bits_of(hardened) == tuple(a ^ b for a, b in zip(bits_of(pn), bits_of(bps)))
