@@ -85,7 +85,8 @@ def binary_primes_sequence(n: int, shifts: tuple[int, ...]) -> BitSequence:
         raise ValueError(f"sequence length must be >= 2, got {n}")
     if max(shifts) >= n:
         raise ValueError(f"shift {max(shifts)} out of range for length {n}")
-    row = int(sieve_primes(n).is_prime[1:].translate(_INDICATOR_TO01), 2)
+    # position 0 is never prime, so its leading '0' leaves the row unchanged
+    row = int(sieve_primes(n).is_prime.translate(_INDICATOR_TO01), 2)
     value = 0
     for a in shifts:
         value ^= row >> a
@@ -127,13 +128,18 @@ def select_shifts(n: int, seed: int | None = None) -> tuple[int, ...]:
 # ASCII '0'/'1' with newlines ignored.
 
 _BODY_WIDTH = 64
+# symbols per body block: 1024 lines are sliced and joined at a time, so no
+# list of every line exists at once
+_BODY_BLOCK = 1024 * _BODY_WIDTH
 
 
 def format_sequence(seq: BitSequence, metadata: dict[str, object] | None = None) -> str:
     """Render a sequence in the text format, preserving the label as metadata.
 
     Raises ValueError for a metadata key or value (the label included) that
-    holds a line break, since it would spill into the body on parsing.
+    holds a line break, since it would spill into the body on parsing. The
+    body is joined per 1024-line block, so the peak is about two copies of
+    the text: the blocks and the returned string, near 2.2 bytes per bit.
     """
     lines = []
     metadata = dict(metadata or {})
@@ -145,9 +151,12 @@ def format_sequence(seq: BitSequence, metadata: dict[str, object] | None = None)
             raise ValueError(f"metadata {key!r} contains a line break")
         lines.append(line)
     body = seq.to01()
-    for i in range(0, len(body), _BODY_WIDTH):
-        lines.append(body[i : i + _BODY_WIDTH])
-    return "\n".join(lines) + "\n"
+    for start in range(0, len(body), _BODY_BLOCK):
+        block = body[start : start + _BODY_BLOCK]
+        lines.append("\n".join([block[i : i + _BODY_WIDTH] for i in range(0, len(block), _BODY_WIDTH)]))
+    del body
+    lines.append("")  # the closing newline, without a '+ "\n"' copy of the text
+    return "\n".join(lines)
 
 
 def parse_sequence(text: str) -> BitSequence:

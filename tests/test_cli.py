@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,10 +17,15 @@ from primeseq import (
     DEFAULT_CONVENTION,
     all_conventions,
     autocorrelation,
+    binary_primes_sequence,
+    d_sequence,
+    format_sequence,
+    harden,
     off_peak_stats,
     parse_sequence,
     primes,
     reproduce,
+    select_shifts,
 )
 from primeseq.analysis import ANALYSIS_MAX_LENGTH
 from primeseq.cli import main
@@ -170,6 +176,31 @@ def test_gen_sieves_only_the_bps_length(capsys, sieve_limits):
     assert code == 0 and sieve_limits == []
     code, _, _ = run_cli(capsys, "gen", "hardened", "--q", "1009", "--len", "500")
     assert code == 0 and sieve_limits == [500]
+
+
+def test_gen_peak_memory_is_about_two_copies_of_the_text(tmp_path):
+    # the body is joined per 1024-line block, so format_sequence and gen hold
+    # about two copies of the text: about 2.2 and 2.4 bytes per bit
+    q = 1048573
+    seq = harden(d_sequence(q, q), binary_primes_sequence(q, select_shifts(q)))
+    out = tmp_path / "hardened.txt"
+    # one small call first, so first-call imports and caches stay out of the peak
+    assert main(["gen", "hardened", "--q", "13", "--out", str(out)]) == 0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        format_sequence(seq, {"kind": "hardened"})
+        format_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["gen", "hardened", "--q", str(q), "--out", str(out)]) == 0
+        gen_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert format_peak <= 2.5 * q
+    assert gen_peak <= 2.5 * q
+    parsed = parse_sequence(out.read_text())
+    assert (parsed.length, parsed.value) == (seq.length, seq.value)
 
 
 def test_usage_error_exits_2(capsys):

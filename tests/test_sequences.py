@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,7 +141,7 @@ def test_bps_two_added_shifts_from_xor_oracle():
 
 
 @given(
-    n=st.integers(min_value=4, max_value=300),
+    n=st.integers(min_value=2, max_value=300),
     data=st.data(),
 )
 @settings(max_examples=60)
@@ -290,6 +292,27 @@ def test_format_and_parse_round_trip():
     text = format_sequence(seq, {"kind": "bps", "n": 5})
     assert text.startswith("# kind=bps\n# n=5\n# label=demo run\n")
     assert parse_sequence(text) == seq
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 65535, 65536, 65537, 131135])
+@pytest.mark.parametrize(
+    "metadata, label, header, parsed_label",
+    [(None, "", [], ""),
+     ({"kind": "bps", "q": 13}, "", ["# kind=bps", "# q=13"], "kind=bps q=13"),
+     (None, "demo run", ["# label=demo run"], "demo run")],
+    ids=["bare", "metadata", "label"],
+)
+def test_format_matches_per_line_reference_at_block_edges(n, metadata, label, header, parsed_label):
+    # the body is joined per 1024-line block of 64-symbol lines; these n sit
+    # on either side of the line and block edges
+    seq = BitSequence(n, random.Random(n).getrandbits(n), label)
+    body = seq.to01()
+    reference = "\n".join([*header, *(body[i : i + 64] for i in range(0, n, 64))]) + "\n"
+    text = format_sequence(seq, metadata)
+    # split on "\n" loses nothing; a failing list compare names the first bad
+    # line instead of diffing 2^17 symbols
+    assert text.split("\n") == reference.split("\n")
+    assert parse_sequence(text) == BitSequence(n, seq.value, parsed_label)
 
 
 def test_parse_ignores_newlines_and_plain_comments():
