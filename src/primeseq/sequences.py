@@ -17,9 +17,6 @@ from .primes import DEFAULT_SIEVE_LIMIT, is_prime, recommended_shift_count, siev
 # about 0.05 s here on a 2-vCPU Xeon and grows with sqrt(q) beyond.
 D_SEQUENCE_MAX_MODULUS = 1 << 40
 
-# bytes.translate table mapping a prime-table byte to ASCII: zero to '0', nonzero to '1'
-_INDICATOR_TO01 = b"0" + b"1" * 255
-
 
 class BitSequence(namedtuple("BitSequence", "length value label")):
     """A finite 0/1 sequence packed into ``value``, with a free-form provenance label.
@@ -85,8 +82,13 @@ def binary_primes_sequence(n: int, shifts: tuple[int, ...]) -> BitSequence:
         raise ValueError(f"sequence length must be >= 2, got {n}")
     if max(shifts) >= n:
         raise ValueError(f"shift {max(shifts)} out of range for length {n}")
-    # position 0 is never prime, so its leading '0' leaves the row unchanged
-    row = int(sieve_primes(n).is_prime.translate(_INDICATOR_TO01), 2)
+    # position k is bit n - k of the row, and 2 is its only even prime; the
+    # flags of positions r, r + 8, ... read as one big-endian int sit in the
+    # low bit of each byte, so a shift by (n - r) % 8 puts each k at bit n - k
+    flags = sieve_primes(n).is_prime
+    row = 1 << (n - 2)
+    for r in (1, 3, 5, 7):
+        row |= int.from_bytes(flags[r::8], "big") << (n - r) % 8
     value = 0
     for a in shifts:
         value ^= row >> a
@@ -128,9 +130,15 @@ def select_shifts(n: int, seed: int | None = None) -> tuple[int, ...]:
 # ASCII '0'/'1' with newlines ignored.
 
 _BODY_WIDTH = 64
-# symbols per body block: 1024 lines are sliced and joined at a time, so no
-# list of every line exists at once
-_BODY_BLOCK = 1024 * _BODY_WIDTH
+# value bytes per body block of 1024 lines: the text is built a block at a
+# time, so no whole-body string exists beside the returned one
+_BODY_BLOCK = 1024 * _BODY_WIDTH // 8
+# bytes.translate tables for bit pairs 7-6, 5-4, 3-2 and 1-0: each maps a
+# byte to one holding that pair as two nibbles, which bytes.hex spells as two
+# '0'/'1' symbols; byte b takes entry b >> s & 3, so the table is runs of 2**s
+_BIT_PAIRS = tuple(
+    b"".join(bytes([v]) * (1 << s) for v in b"\x00\x01\x10\x11") * (64 >> s) for s in (6, 4, 2, 0)
+)
 
 
 def format_sequence(seq: BitSequence, metadata: dict[str, object] | None = None) -> str:
@@ -138,8 +146,11 @@ def format_sequence(seq: BitSequence, metadata: dict[str, object] | None = None)
 
     Raises ValueError for a metadata key or value (the label included) that
     holds a line break, since it would spill into the body on parsing. The
-    body is joined per 1024-line block, so the peak is about two copies of
-    the text: the blocks and the returned string, near 2.2 bytes per bit.
+    body is built per 1024-line block from the value's bytes, padded to whole
+    bytes: translate tables spread each bit into a nibble, ``bytes.hex``
+    spells the 64-symbol lines and the padding is cut from the last line.
+    The peak is about two copies of the text, the blocks and the returned
+    string, near 2.1 bytes per bit.
     """
     lines = []
     metadata = dict(metadata or {})
@@ -150,11 +161,17 @@ def format_sequence(seq: BitSequence, metadata: dict[str, object] | None = None)
         if line.splitlines() != [line]:
             raise ValueError(f"metadata {key!r} contains a line break")
         lines.append(line)
-    body = seq.to01()
-    for start in range(0, len(body), _BODY_BLOCK):
-        block = body[start : start + _BODY_BLOCK]
-        lines.append("\n".join([block[i : i + _BODY_WIDTH] for i in range(0, len(block), _BODY_WIDTH)]))
-    del body
+    pad = -seq.length % 8
+    data = (seq.value << pad).to_bytes((seq.length + pad) // 8, "big")
+    for start in range(0, len(data), _BODY_BLOCK):
+        chunk = data[start : start + _BODY_BLOCK]
+        spread = bytearray(4 * len(chunk))
+        for j, table in enumerate(_BIT_PAIRS):
+            spread[j::4] = chunk.translate(table)
+        lines.append(spread.hex("\n", -(_BODY_WIDTH // 2)))
+    del data  # before the final join, which is the peak
+    if pad:
+        lines[-1] = lines[-1][:-pad]
     lines.append("")  # the closing newline, without a '+ "\n"' copy of the text
     return "\n".join(lines)
 

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import pytest
 
@@ -42,6 +43,15 @@ def test_is_prime_matches_sieve(table1000):
         assert is_prime(k) == bool(table1000.is_prime[k]), k
 
 
+def test_sieve_matches_trial_division_at_every_limit_to_3000():
+    # every limit parity and every last struck multiple near the end
+    expected = bytearray(3001)
+    for p in oracle_primes_upto(3000):
+        expected[p] = 1
+    for limit in range(2, 3001):
+        assert sieve_primes(limit).is_prime == expected[: limit + 1], limit
+
+
 def test_sieve_bitmap_edges(table1000):
     assert table1000.is_prime[0] == 0
     assert table1000.is_prime[1] == 0
@@ -54,9 +64,17 @@ def test_sieve_rejects_bad_limits():
         sieve_primes((1 << 24) + 1)
 
 
-@pytest.mark.parametrize("n, expected", [(10, 4), (2, 1), (1, 0), (1000, 168)])
+@pytest.mark.parametrize(
+    "n, expected", [(10, 4), (2, 1), (1, 0), (1000, 168), (999983, 78498), (1 << 24, 1_077_871)]
+)
 def test_count_primes_examples(n, expected):
     assert count_primes(n) == expected
+
+
+def test_count_primes_matches_trial_division_to_3000():
+    primes = oracle_primes_upto(3000)
+    for n in range(1, 3001):
+        assert count_primes(n) == bisect_right(primes, n), n
 
 
 def test_count_primes_out_of_range():

@@ -156,6 +156,20 @@ def test_bps_matches_oracle(n, data):
     )
 
 
+@pytest.fixture(scope="module")
+def oracle_prime_set():
+    return set(oracle_primes_upto(65537))
+
+
+@pytest.mark.parametrize("n", [*range(2, 201), 65535, 65536, 65537])
+def test_bps_matches_oracle_with_each_shift_rule(n, oracle_prime_set):
+    # every residue of n mod 8 starts each odd residue plane at every bit
+    # offset; the last three n sit on either side of 2^16 positions
+    for shifts in ((0,), select_shifts(n), select_shifts(n, 1)):
+        seq = binary_primes_sequence(n, shifts)
+        assert list(bits_of(seq)) == oracle_bps_bits(n, shifts, oracle_prime_set), shifts
+
+
 def test_bps_errors():
     with pytest.raises(ValueError):
         binary_primes_sequence(10, (0, 10))
@@ -294,7 +308,7 @@ def test_format_and_parse_round_trip():
     assert parse_sequence(text) == seq
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 65535, 65536, 65537, 131135])
+@pytest.mark.parametrize("n", [*range(1, 201), 65535, 65536, 65537, 131073, 131135])
 @pytest.mark.parametrize(
     "metadata, label, header, parsed_label",
     [(None, "", [], ""),
@@ -303,8 +317,9 @@ def test_format_and_parse_round_trip():
     ids=["bare", "metadata", "label"],
 )
 def test_format_matches_per_line_reference_at_block_edges(n, metadata, label, header, parsed_label):
-    # the body is joined per 1024-line block of 64-symbol lines; these n sit
-    # on either side of the line and block edges
+    # the body is built per 1024-line block of 64-symbol lines from whole
+    # bytes; these n sit on either side of the line and block edges and cut
+    # every count of pad bits from the last byte
     seq = BitSequence(n, random.Random(n).getrandbits(n), label)
     body = seq.to01()
     reference = "\n".join([*header, *(body[i : i + 64] for i in range(0, n, 64))]) + "\n"
