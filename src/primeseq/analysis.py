@@ -17,9 +17,9 @@ from .sequences import BitSequence
 MAPPINGS = ("raw01", "bipolar")
 NORMALIZATIONS = ("by-n", "by-peak")
 # Longest sequence autocorrelation accepts: on a 2-vCPU Xeon the transform
-# lag-sum kernel takes about 1.3 s at this length and CLI `analyze --out` about
-# 2 s (58 MB peak RSS, 78 MB when 10^6 ones need 7-digit slots), where the
-# popcount loop would take minutes.
+# lag-sum kernel takes about 0.65 s at this length and CLI `analyze --out`
+# about 1.1 s (53 MB peak RSS, 58 MB when 10^6 ones need 7-digit slots), where
+# the popcount loop would take minutes.
 ANALYSIS_MAX_LENGTH = 1 << 20
 # Shortest sequence whose lag sums come from one decimal product rather than
 # one popcount per lag up to n/2; on a 2-vCPU Xeon (random words, calls
@@ -91,67 +91,62 @@ class AnalysisReport(namedtuple(
 
 
 def _cyclic_lag_sums(x: int, n: int) -> list[int]:
-    # 0/1 lag sums S_k = popcount(x & rot_k(x)) of the n-bit word x; S_0 is
-    # the number of ones m. Both paths find S_0..S_(n//2) and mirror them,
-    # since S_k = S_(n-k).
+    # 0/1 lag sums S_0..S_(n//2), S_k = popcount(x & rot_k(x)), of the n-bit
+    # word x; S_0 is the number of ones m, and the rest follow from S_k = S_(n-k).
     if n < LAG_SUM_TRANSFORM_MIN_LENGTH:
         # x has n bits, so the AND drops the high half of the doubled word
         doubled = x | (x << n)
-        half = [(x & (doubled >> k)).bit_count() for k in range(n // 2 + 1)]
-    else:
-        # Kronecker substitution: each bit is one d-digit slot of a decimal
-        # integer, and x times its reversal holds every linear lag sum in a
-        # slot of its own. No sum exceeds m < 10^d, so no slot carries, and
-        # adding the high n slots to the low n slots wraps the linear sums into
-        # the cyclic ones, which read S_0, S_(n-1), ..., S_1 from the left.
-        # libmpdec multiplies operands this long with a number-theoretic
-        # transform. Each intermediate is dropped once the next exists, to keep
-        # the peak near the popcount path's. Every step below runs in C: the
-        # Python loop is over the d <= 7 digits of a slot, not over the slots.
-        import decimal
-        from array import array
+        return [(x & (doubled >> k)).bit_count() for k in range(n // 2 + 1)]
+    # Kronecker substitution: each bit is one d-digit slot of a decimal
+    # integer, and x times its reversal holds every linear lag sum in a slot of
+    # its own. No sum exceeds m < 10^d, so no slot carries, and adding the high
+    # n slots to the low n slots wraps the linear sums into the cyclic ones,
+    # which read S_0, S_(n-1), ..., S_1 from the left. libmpdec multiplies
+    # operands this long with a number-theoretic transform. Each intermediate
+    # is dropped once the next exists, to keep the peak near the popcount
+    # path's. Every step below runs in C: the Python loop is over the d <= 7
+    # digits of a slot, not over the slots.
+    import decimal
+    from array import array
 
-        d = len(str(x.bit_count()))
-        w, h = n * d, n // 2 + 1
-        bits = format(x, f"0{n}b").encode()
-        slots = bytearray(b"0") * w
-        slots[d - 1::d] = bits
-        a = decimal.Decimal(slots.decode())
-        slots[d - 1::d] = bits[::-1]
-        b = decimal.Decimal(slots.decode())
-        del bits, slots
-        ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-        digits = str(ctx.multiply(a, b))
-        del a, b
-        # The first h slots of the high and of the low n slots, as digit
-        # values 0..9; their slotwise sums are S_0..S_(n//2). The product has
-        # at most 2w digits, and the pad leading zeros it lacks are restored
-        # on the two slices rather than on the whole text.
-        pad, hd = 2 * w - len(digits), h * d
-        high = digits[:max(hd - pad, 0)].rjust(hd, "0").encode()
-        low = digits[max(w - pad, 0):max(w + hd - pad, 0)].rjust(hd, "0").encode()
-        del digits
-        digit_value = bytes.maketrans(b"0123456789", bytes(range(10)))
-        high, low = high.translate(digit_value), low.translate(digit_value)
-        # Digit plane j of each slot goes into the low byte of a 4-byte
-        # little-endian word, so one integer holds the plane for all h slots;
-        # summing the planes times powers of ten rebuilds every slot at once.
-        # A slot holds S_k <= m <= 2^20 < 2^32, so no word carries into the next.
-        words = bytearray(4 * h)
-        total = 0
-        for j in range(d):
-            words[::4] = high[j::d]
-            plane = int.from_bytes(words, "little")
-            words[::4] = low[j::d]
-            total = total * 10 + plane + int.from_bytes(words, "little")
-        del high, low, words, plane
-        half = array("I", total.to_bytes(4 * h, "little"))
-        del total
-        if sys.byteorder == "big":
-            half.byteswap()
-        half = half.tolist()
-    half += half[n - n // 2 - 1:0:-1]
-    return half
+    d = len(str(x.bit_count()))
+    w, h = n * d, n // 2 + 1
+    bits = format(x, f"0{n}b").encode()
+    slots = bytearray(b"0") * w
+    slots[d - 1::d] = bits
+    a = decimal.Decimal(slots.decode())
+    slots[d - 1::d] = bits[::-1]
+    b = decimal.Decimal(slots.decode())
+    del bits, slots
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    product = ctx.multiply(a, b)
+    del a, b
+    # The fold, in decimal: high + (product - high * 10^w) for the high n
+    # slots `high`; then only its first h slots, S_0..S_(n//2), become text.
+    high = product.scaleb(-w, ctx).to_integral_value(decimal.ROUND_DOWN, ctx)
+    product = ctx.add(ctx.subtract(product, high.scaleb(w, ctx)), high)
+    del high
+    hd = h * d
+    digits = str(product.scaleb(hd - w, ctx).to_integral_value(decimal.ROUND_DOWN, ctx))
+    del product
+    # S_0 = m fills its slot, so only x = 0 lacks leading zeros here
+    digits = digits.encode().rjust(hd, b"0")
+    digits = digits.translate(bytes.maketrans(b"0123456789", bytes(range(10))))
+    # Digit plane j of each slot goes into the low byte of a 4-byte
+    # little-endian word, so one integer holds the plane for all h slots;
+    # summing the planes times powers of ten rebuilds every slot at once. A
+    # slot holds S_k <= m <= 2^20 < 2^32, so no word carries into the next.
+    words = bytearray(4 * h)
+    total = 0
+    for j in range(d):
+        words[::4] = digits[j::d]
+        total = total * 10 + int.from_bytes(words, "little")
+    del digits, words
+    half = array("I", total.to_bytes(4 * h, "little"))
+    del total
+    if sys.byteorder == "big":
+        half.byteswap()
+    return half.tolist()
 
 
 def autocorrelation(seq: BitSequence, conv: CorrelationConvention = DEFAULT_CONVENTION) -> CorrelationSeries:
@@ -181,7 +176,9 @@ def autocorrelation(seq: BitSequence, conv: CorrelationConvention = DEFAULT_CONV
         if peak == 0:
             raise ValueError("cannot normalize by peak: lag-0 value is zero")
         value_of = {s: (base + scale * s) / n / peak for s in set(sums)}
-    return CorrelationSeries(tuple(map(value_of.__getitem__, sums)), conv)
+    # the sums cover lags 0..n//2, and c(k) = c(n-k) gives the rest
+    half = tuple(map(value_of.__getitem__, sums))
+    return CorrelationSeries(half + half[n - n // 2 - 1:0:-1], conv)
 
 
 def _off_peak_summary(corr: CorrelationSeries) -> tuple[float, float, float]:

@@ -53,8 +53,9 @@ TABLE2_PUBLISHED = (
 FIG3_SWEEP_PRIMES = (53, 101, 199, 401, 797, 997)
 FIG3_SHIFTS = (0, 7, 11, 22)
 FIG6_PRIME_RANGE = (40, 650)
-# lines per write of the lag,c CSV, which bounds its text in memory
-_CSV_BLOCK = 1024
+# lines per write of the lag,c CSV, which bounds its text in memory; a power
+# of ten, so the lag texts of a block share one prefix
+_CSV_BLOCK = 1000
 
 
 class ReproductionTarget(namedtuple("ReproductionTarget", "id output_path")):
@@ -79,24 +80,28 @@ def _fmt(value: float) -> str:
 
 def write_correlation_csv(path: str | Path, series: CorrelationSeries) -> None:
     """Write the ``lag,c`` CSV of a correlation series, one line per lag."""
-    # Each distinct nonzero value is formatted once, and each block of lines is
-    # one %-format in C. 0.0 and -0.0 are one dict key but print as 0 and -0,
-    # so zeros stay out of the cache: %s prints them as 0.0 and -0.0, and
-    # dropping the ".0" before the newline gives 0 and -0. The .10g text of no
-    # other value ends in ".0", so nothing else changes.
+    # Each block of 1000 lines is one join in C of lag texts and value texts,
+    # and each distinct value is formatted once. The lag text of line
+    # 1000*b + i is str(b) then i as three digits, or i alone in block 0.
+    # 0.0 and -0.0 are one dict key but print as 0 and -0, so each zero cell
+    # takes its own text.
     values = series.values
-    distinct = set(values)
-    text = {v: format(v, ".10g") for v in distinct if v}
-    zero = 0.0 in distinct
+    text = {v: format(v, ".10g") + "\n" for v in set(values)}
+    zero = 0.0 in text
+    heads = [f"{k}," for k in range(min(len(values), _CSV_BLOCK))]
+    tails = [f"{k:03}," for k in range(_CSV_BLOCK)] if len(values) > _CSV_BLOCK else heads
     with open(path, "w", newline="") as fh:
         fh.write("lag,c\n")
         for start in range(0, len(values), _CSV_BLOCK):
             block = values[start:start + _CSV_BLOCK]
-            args = [None] * (2 * len(block))
-            args[::2] = range(start, start + len(block))
-            args[1::2] = map(text.get, block, block)
-            lines = ("%d,%s\n" * len(block)) % tuple(args)
-            fh.write(lines.replace(".0\n", "\n") if zero else lines)
+            parts = [str(start // _CSV_BLOCK) if start else ""] * (3 * len(block))
+            parts[1::3] = (tails if start else heads)[:len(block)]
+            parts[2::3] = map(text.__getitem__, block)
+            i = -1
+            for _ in range(block.count(0.0) if zero else 0):
+                i = block.index(0.0, i + 1)
+                parts[3 * i + 2] = format(block[i], ".10g") + "\n"
+            fh.write("".join(parts))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:

@@ -182,22 +182,22 @@ def parse_sequence(text: str) -> BitSequence:
     Raises ValueError naming the offending line for any body character other
     than '0' or '1'.
     """
-    body: list[str] = []
-    metadata: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.startswith("#"):
-            comment = line[1:].strip()
-            if "=" in comment:
-                key, _, value = comment.partition("=")
-                metadata[key.strip()] = value
-            continue
-        bad = line.lstrip("01")
-        if bad:
-            raise ValueError(f"line {lineno}: invalid character {bad[0]!r} in sequence body")
-        body.append(line)
-    digits = "".join(body)
+    lines = text.splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    digits = "".join([line for line in lines if not line.startswith("#")])
+    if digits.count("0") + digits.count("1") != len(digits):
+        # name the first offending line; comment lines count in the numbering
+        for lineno, line in enumerate(lines, start=1):
+            if not line.startswith("#") and (bad := line.lstrip("01")):
+                raise ValueError(f"line {lineno}: invalid character {bad[0]!r} in sequence body")
     if not digits:
         raise ValueError("no sequence data found")
+    metadata: dict[str, str] = {}
+    for line in comments:
+        comment = line[1:].strip()
+        if "=" in comment:
+            key, _, value = comment.partition("=")
+            metadata[key.strip()] = value
     label = metadata.get("label")
     if label is None:
         label = " ".join(f"{k}={v}" for k, v in metadata.items())

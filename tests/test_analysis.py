@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -133,48 +134,73 @@ def test_fast_path_is_bit_identical_to_double_loop_at_1009():
     _assert_all_conventions_match_oracle(HARDENED_1009)
 
 
+def _direct_lag_sums(x, n):
+    # one full rotation and popcount per lag 0..n//2, the half the kernel
+    # returns; the rest follow from S_k = S_(n-k)
+    mask = (1 << n) - 1
+    return [(x & ((x >> k | x << (n - k)) & mask)).bit_count() for k in range(n // 2 + 1)]
+
+
 # lengths where len(str(n)), the widest slot an all-ones input needs, changes
 DIGIT_WIDTH_LENGTHS = (9, 10, 11, 99, 100, 101, 9999, 10000, 10001)
 
 
 @pytest.mark.parametrize("n", DIGIT_WIDTH_LENGTHS)
 def test_transform_lag_sums_at_digit_width_boundaries(n):
-    assert _transform_sums(0, n) == [0] * n
-    assert _transform_sums((1 << n) - 1, n) == [n] * n
+    h = n // 2 + 1
+    assert _transform_sums(0, n) == [0] * h
+    assert _transform_sums((1 << n) - 1, n) == [n] * h
     for x in (1, 1 << (n - 1), 1 << (n // 2)):
-        assert _transform_sums(x, n) == [1] + [0] * (n - 1)
+        assert _transform_sums(x, n) == [1] + [0] * (h - 1)
+    for x in (0, (1 << n) - 1, 1, 1 << (n - 1), 1 << (n // 2)):
+        assert _transform_sums(x, n) == _direct_lag_sums(x, n)
     if n <= 101:
         for bits in ((0,) * n, (1,) * n, (1,) + (0,) * (n - 1)):
             _assert_all_conventions_match_oracle(bits)
+
+
+def _word_with_ones(n, ones):
+    return sum(1 << k for k in random.Random(ones).sample(range(n), ones))
 
 
 @pytest.mark.parametrize("ones", DIGIT_WIDTH_LENGTHS)
 def test_transform_lag_sums_at_slot_width_boundaries(ones):
     # the slot width follows the number of ones m, the largest lag sum
     n = 10007
-    x = sum(1 << k for k in random.Random(ones).sample(range(n), ones))
+    x = _word_with_ones(n, ones)
     sums = _transform_sums(x, n)
     assert sums[0] == ones
-    assert sums == _popcount_sums(x, n)
+    assert sums == _popcount_sums(x, n) == _direct_lag_sums(x, n)
+
+
+# the fold adds the high n slots to the low n slots: m = 10^d - 1 ones fill
+# every digit of the lag-0 slot, and m = 10^d ones need one digit more; the
+# two lengths are the crossover, even, and the odd length past it
+@pytest.mark.parametrize("n", [LAG_SUM_TRANSFORM_MIN_LENGTH, LAG_SUM_TRANSFORM_MIN_LENGTH + 1])
+@pytest.mark.parametrize("ones", [9, 10, 99, 100, 999, 1000])
+def test_transform_fold_at_full_slots(n, ones):
+    assert n == 3650 + n % 2
+    x = _word_with_ones(n, ones)
+    sums = analysis._cyclic_lag_sums(x, n)
+    assert len(sums) == n // 2 + 1 and sums[0] == ones
+    assert sums == _popcount_sums(x, n) == _direct_lag_sums(x, n)
 
 
 @pytest.mark.parametrize("q", [10007, 31607, 100003])
 def test_transform_lag_sums_equal_popcount(q):
     x = seq_of(_hardened_bits(q, (0, 11, 77, 111))).value
-    assert _transform_sums(x, q) == _popcount_sums(x, q)
+    assert _transform_sums(x, q) == _popcount_sums(x, q) == _direct_lag_sums(x, q)
 
 
-def _assert_lag_sum_invariants(x, n):
+def _assert_lag_sum_invariants(x, n, sums):
     # no oracle runs this far; check the identities every lag-sum vector obeys
-    sums = analysis._cyclic_lag_sums(x, n)
     m = x.bit_count()
-    assert len(sums) == n
+    assert len(sums) == n // 2 + 1
     assert sums[0] == m
-    assert sum(sums) == m * m
-    assert all(sums[k] == sums[n - k] for k in range(1, n))
-    doubled = x | (x << n)
-    for k in random.Random(n).sample(range(1, n), 8):
-        assert sums[k] == (x & (doubled >> k)).bit_count()
+    assert sum(sums + sums[n - n // 2 - 1:0:-1]) == m * m
+    mask = (1 << n) - 1
+    for k in random.Random(n).sample(range(1, n // 2 + 1), 8):
+        assert sums[k] == (x & ((x >> k | x << (n - k)) & mask)).bit_count()
 
 
 def test_lag_sum_invariants_at_length_cap():
@@ -182,7 +208,7 @@ def test_lag_sum_invariants_at_length_cap():
     assert n == 1 << 20
     pn = d_sequence(1048573, n)
     x = harden(pn, binary_primes_sequence(n, (0, 5, 1000, 77777))).value
-    _assert_lag_sum_invariants(x, n)
+    _assert_lag_sum_invariants(x, n, analysis._cyclic_lag_sums(x, n))
 
 
 def test_lag_sum_invariants_at_widest_slot():
@@ -194,13 +220,18 @@ def test_lag_sum_invariants_at_widest_slot():
     for _ in range(5):
         x |= rng.getrandbits(n)
     assert len(str(x.bit_count())) == 7
-    _assert_lag_sum_invariants(x, n)
-
-
-def _direct_lag_sums(x, n):
-    # one full rotation and popcount per lag, with no mirroring
-    mask = (1 << n) - 1
-    return [(x & ((x >> k | x << (n - k)) & mask)).bit_count() for k in range(n)]
+    # libmpdec allocates through the Python allocator, so tracemalloc sees
+    # the transform. Folding the product in decimal and reading back h slots
+    # keeps the peak near 30 bytes per bit; turning the whole 2w-digit
+    # product into text took it to 40.
+    tracemalloc.start()
+    try:
+        sums = analysis._cyclic_lag_sums(x, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 33 * n
+    _assert_lag_sum_invariants(x, n, sums)
 
 
 # the popcount path's smallest lengths and one even and one odd just below
@@ -220,7 +251,9 @@ def test_popcount_lag_sums_match_direct_loop(n):
         assert sums == _direct_lag_sums(x, n)
         if n <= 5:
             bits = [int(c) for c in format(x, f"0{n}b")]
-            assert sums == [sum(bits[i] & bits[(i + k) % n] for i in range(n)) for k in range(n)]
+            assert sums == [
+                sum(bits[i] & bits[(i + k) % n] for i in range(n)) for k in range(n // 2 + 1)
+            ]
 
 
 @given(bits=bits_st)

@@ -316,10 +316,11 @@ def _per_lag_csv(series):
     )).encode()
 
 
-# the CSV goes out in blocks of _CSV_BLOCK lines: one block, one line past
-# it, and a short fourth block
-@pytest.mark.parametrize("n", [2, 3, 10, 199, 997, 7001, 10007,
-                               _CSV_BLOCK, _CSV_BLOCK + 1, 3 * _CSV_BLOCK + 7])
+# the CSV goes out in blocks of _CSV_BLOCK = 1000 lines, whose lag texts
+# share the prefix str(start // 1000): each side of the first and second
+# block ends, lengths past them, and a short fourth and eleventh block
+@pytest.mark.parametrize("n", [2, 3, 10, 199, 997, 999, 1000, 1001, 1024, 1025,
+                               1999, 2000, 2001, 3079, 7001, 10007])
 def test_correlation_csv_matches_per_lag_reference(tmp_path, n):
     # the low bit keeps the raw01 peak above zero
     seq = BitSequence(n, random.Random(n).getrandbits(n) | 1)
@@ -346,6 +347,24 @@ def test_correlation_csv_keeps_signed_zeros_and_nan(tmp_path):
     data = (tmp_path / "c.csv").read_bytes()
     assert data == _per_lag_csv(later)
     assert f"\n{_CSV_BLOCK + 1},0\n{_CSV_BLOCK + 2},-0\n{_CSV_BLOCK + 3},nan\n".encode() in data
+
+
+def test_correlation_csv_signed_zeros_and_nan_at_block_edges(tmp_path):
+    # zeros of both signs and NaNs on the first and last line of blocks 0, 1
+    # and 2; -0.0 comes first, so the shared dict text of the zeros is "-0"
+    assert _CSV_BLOCK == 1000
+    values = [0.5] * 2500
+    for lag, v in ((0, -0.0), (1, 0.0), (998, float("nan")), (999, 0.0), (1000, -0.0),
+                   (1001, float("nan")), (1999, -0.0), (2000, 0.0), (2001, -0.0),
+                   (2499, float("nan"))):
+        values[lag] = v
+    series = CorrelationSeries(tuple(values), DEFAULT_CONVENTION)
+    reproduce.write_correlation_csv(tmp_path / "c.csv", series)
+    data = (tmp_path / "c.csv").read_bytes()
+    assert data == _per_lag_csv(series)
+    assert data.startswith(b"lag,c\n0,-0\n1,0\n2,0.5\n")
+    assert b"\n998,nan\n999,0\n1000,-0\n1001,nan\n1002,0.5\n" in data
+    assert b"\n1999,-0\n2000,0\n2001,-0\n2002,0.5\n" in data and data.endswith(b"\n2499,nan\n")
 
 
 def test_analyze_malformed_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,6 +340,31 @@ def test_parse_ignores_newlines_and_plain_comments():
 def test_parse_error_names_line():
     with pytest.raises(ValueError, match="line 3"):
         parse_sequence("# n=4\n0101\n01x1\n")
+
+
+_LINES_100 = ("01" * 32 + "\n") * 100
+
+
+# the body is checked in bulk; the line walk that names the bad line must
+# still count comment lines and read \r\n text as one break per line
+@pytest.mark.parametrize("text, line, char", [
+    ("# n=12\n0101\n# between=1\n0101\n01x1\n", 5, "x"),
+    ("0101\n#\n\n# a=b\n1 01\n", 5, " "),
+    ("# n=8\r\n0101\r\n# c\r\n01 1\r\n", 4, " "),
+    (_LINES_100 + " 01\n", 101, " "),
+    (_LINES_100 + "0121\n", 101, "2"),
+    ("# n=200\n" + _LINES_100 + "# tail\n012\n", 103, "2"),
+])
+def test_parse_error_names_line_and_character(text, line, char):
+    with pytest.raises(ValueError, match=re.escape(f"line {line}: invalid character {char!r} ")):
+        parse_sequence(text)
+
+
+def test_parse_reads_comments_between_body_lines_and_crlf():
+    seq = parse_sequence("# a=1\r\n0101\r\n# b=2\r\n11\r\n# a=3\r\n")
+    assert seq.to01() == "010111"
+    assert seq.label == "a=3 b=2"
+    assert parse_sequence("# label=x\r\n0101\r\n11\r\n") == BitSequence(6, 0b010111, "x")
 
 
 @pytest.mark.parametrize("body", ["0b0101", "01_01", " 0101", "0101 ", "+0101"])
