@@ -13,11 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-from .adversary import brute_force_attack, estimate_search_space
-from .analysis import CorrelationConvention, analyze
+from .adversary import ATTACK_MAX_ADDED_SHIFTS, brute_force_attack, estimate_search_space
+from .analysis import DEFAULT_CONVENTION, MAPPINGS, NORMALIZATIONS, CorrelationConvention, analyze
 from .reproduce import TARGET_IDS, make_target, run_target, write_correlation_csv
 from .sequences import (
-    BitSequence,
     binary_primes_sequence,
     d_sequence,
     format_sequence,
@@ -27,51 +26,44 @@ from .sequences import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 
-def _parse_shifts(text: str) -> tuple[int, ...]:
+def _shifts(n: int, text: str | None, seed: int | None) -> tuple[int, ...]:
+    # explicit offsets win, 0 prepended, checked only by binary_primes_sequence;
+    # otherwise select_shifts' recommended-count set, random when seeded
+    if text is None:
+        return select_shifts(n, seed)
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"shifts must be comma-separated integers, got {text!r}")
-    if 0 not in values:
-        values = (0, *values)
-    return values
-
-
-def _resolve_shifts(n: int, shifts_arg: str | None, seed: int | None) -> tuple[int, ...]:
-    # explicit values win, checked only by binary_primes_sequence; otherwise
-    # recommended-count shifts, random when a seed is given, evenly spaced if not
-    if shifts_arg is not None:
-        return _parse_shifts(shifts_arg)
-    return select_shifts(n, seed)
+    return values if 0 in values else (0, *values)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "bps":
         if args.n is None:
             raise ValueError("gen bps requires --n")
-        shifts = _resolve_shifts(args.n, args.shifts, args.seed)
+        shifts = _shifts(args.n, args.shifts, args.seed)
         seq = binary_primes_sequence(args.n, shifts)
-        meta = {"kind": "bps", "n": args.n, "shifts": ",".join(map(str, sorted(shifts)))}
+        meta = {"kind": "bps", "n": args.n}
     else:  # dseq or hardened
         if args.q is None:
             raise ValueError(f"gen {args.kind} requires --q")
         length = args.len if args.len is not None else args.q
         meta = {"kind": args.kind, "q": args.q, "n": length}
-        if args.kind == "dseq":
-            seq = d_sequence(args.q, length)
-        else:
-            # d_sequence runs before binary_primes_sequence, so a length both
-            # refuse is reported with d_sequence's message
-            shifts = _resolve_shifts(length, args.shifts, args.seed)
-            seq = harden(d_sequence(args.q, length), binary_primes_sequence(length, shifts))
-            meta["shifts"] = ",".join(map(str, sorted(shifts)))
-    label = " ".join(f"{k}={v}" for k, v in meta.items())
-    text = format_sequence(BitSequence(seq.length, seq.value, label), meta)
+        # d_sequence runs before the shifts are resolved, so a modulus or a
+        # length it refuses is reported with its message whatever --shifts holds
+        seq = d_sequence(args.q, length)
+        if args.kind == "hardened":
+            shifts = _shifts(length, args.shifts, args.seed)
+            seq = harden(seq, binary_primes_sequence(length, shifts))
+    if args.kind != "dseq":
+        meta["shifts"] = ",".join(map(str, sorted(shifts)))
+    meta["label"] = " ".join(f"{k}={v}" for k, v in meta.items())
+    text = format_sequence(seq, meta)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -132,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="report randomness and off-peak statistics")
     p_an.add_argument("input", help="sequence file in the text format")
-    p_an.add_argument("--convention", choices=("bipolar", "raw01"), default="bipolar")
-    p_an.add_argument("--normalize", choices=("by-n", "by-peak"), default="by-n")
+    p_an.add_argument("--convention", choices=sorted(MAPPINGS), default=DEFAULT_CONVENTION.mapping)
+    p_an.add_argument("--normalize", choices=NORMALIZATIONS, default=DEFAULT_CONVENTION.normalization)
     p_an.add_argument("--out", help="also write the lag,c CSV here")
     p_an.set_defaults(func=_cmd_analyze)
 
@@ -144,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cx = sub.add_parser("complexity", help="attacker search-space figures")
     p_cx.add_argument("--n", type=int, required=True)
-    p_cx.add_argument("--l-max", type=int, default=3, dest="l_max")
+    p_cx.add_argument("--l-max", type=int, default=ATTACK_MAX_ADDED_SHIFTS, dest="l_max")
     p_cx.set_defaults(func=_cmd_complexity)
 
     p_at = sub.add_parser("attack", help="toy brute-force key search on a short sequence")

@@ -22,15 +22,7 @@ from .analysis import (
     randomness_measure,
 )
 from .primes import recommended_shift_count, sieve_primes
-from .sequences import (
-    BitSequence,
-    binary_primes_sequence,
-    d_sequence,
-    harden,
-    select_shifts,
-)
-
-TARGET_IDS = ("table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
+from .sequences import binary_primes_sequence, d_sequence, harden, select_shifts
 
 # Published reference scalars for this construction.
 REFERENCE_RANDOMNESS_199 = 0.9949
@@ -52,6 +44,7 @@ TABLE2_PUBLISHED = (
 
 FIG3_SWEEP_PRIMES = (53, 101, 199, 401, 797, 997)
 FIG3_SHIFTS = (0, 7, 11, 22)
+FIG2_SHIFTS = (0, 11, 77, 111)
 FIG6_PRIME_RANGE = (40, 650)
 # lines per write of the lag,c CSV, which bounds its text in memory; a power
 # of ten, so the lag texts of a block share one prefix
@@ -119,14 +112,14 @@ def _run_table(target: ReproductionTarget, published, shifts: tuple[int, ...]) -
     rows = []
     mismatched: list[dict[str, object]] = []
     for (label, printed, printed_ones), computed in zip(published, computed_rows):
-        positions = [str(i + 1) for i in range(n) if computed[i] != printed[i]]
-        match = not positions
-        if not match:
+        positions = [i + 1 for i in range(n) if computed[i] != printed[i]]
+        ones = computed.count("1")
+        if positions:
             mismatched.append(
                 {
                     "row": label,
-                    "positions": [int(p) for p in positions],
-                    "computed_ones": computed.count("1"),
+                    "positions": positions,
+                    "computed_ones": ones,
                     "published_ones": printed_ones,
                 }
             )
@@ -134,11 +127,11 @@ def _run_table(target: ReproductionTarget, published, shifts: tuple[int, ...]) -
             [
                 label,
                 computed,
-                computed.count("1"),
+                ones,
                 printed,
                 printed_ones,
-                match,
-                ";".join(positions),
+                not positions,
+                ";".join(map(str, positions)),
             ]
         )
     _write_csv(
@@ -150,20 +143,16 @@ def _run_table(target: ReproductionTarget, published, shifts: tuple[int, ...]) -
     return {
         "target": target.id,
         "rows": len(rows),
-        "rows_matching_published": sum(1 for r in rows if r[5]),
+        "rows_matching_published": len(rows) - len(mismatched),
         "mismatches": mismatched,
         "output": str(target.output_path),
     }
 
 
-def _fig1_lengths() -> list[int]:
-    # geometric sample of 2..10^6, dense enough to plot the step curve
-    lengths = {round(2 * (500_000 ** (k / 179))) for k in range(180)}
-    return sorted(lengths)
-
-
 def _run_fig1(target: ReproductionTarget) -> dict[str, object]:
-    rows = [[n, recommended_shift_count(n)] for n in _fig1_lengths()]
+    # geometric sample of 2..10^6, dense enough to plot the step curve
+    lengths = sorted({round(2 * (500_000 ** (k / 179))) for k in range(180)})
+    rows = [[n, recommended_shift_count(n)] for n in lengths]
     _write_csv(target.output_path, ["n", "l"], rows)
     return {
         "target": "fig1",
@@ -174,7 +163,10 @@ def _run_fig1(target: ReproductionTarget) -> dict[str, object]:
     }
 
 
-def _offpeak_all_conventions(seq: BitSequence, reference: float) -> list[dict[str, object]]:
+def _run_fig2(target: ReproductionTarget) -> dict[str, object]:
+    n = 997
+    seq = binary_primes_sequence(n, FIG2_SHIFTS)
+    write_correlation_csv(target.output_path, autocorrelation(seq, DEFAULT_CONVENTION))
     records = []
     for conv in all_conventions():
         max_off, mean_off = off_peak_stats(autocorrelation(seq, conv))
@@ -184,25 +176,17 @@ def _offpeak_all_conventions(seq: BitSequence, reference: float) -> list[dict[st
                 "normalization": conv.normalization,
                 "max_offpeak": max_off,
                 "mean_offpeak": mean_off,
-                "max_delta_to_reference": abs(max_off - reference),
-                "mean_delta_to_reference": abs(mean_off - reference),
+                "max_delta_to_reference": abs(max_off - REFERENCE_OFFPEAK_997),
+                "mean_delta_to_reference": abs(mean_off - REFERENCE_OFFPEAK_997),
             }
         )
-    return records
-
-
-def _run_fig2(target: ReproductionTarget) -> dict[str, object]:
-    n, shifts = 997, (0, 11, 77, 111)
-    seq = binary_primes_sequence(n, shifts)
-    corr = autocorrelation(seq, DEFAULT_CONVENTION)
-    write_correlation_csv(target.output_path, corr)
     return {
         "target": "fig2",
         "n": n,
-        "shifts": list(shifts),
+        "shifts": list(FIG2_SHIFTS),
         "convention": DEFAULT_CONVENTION.as_dict(),
         "reference_offpeak": REFERENCE_OFFPEAK_997,
-        "offpeak_by_convention": _offpeak_all_conventions(seq, REFERENCE_OFFPEAK_997),
+        "offpeak_by_convention": records,
         "output": str(target.output_path),
     }
 
@@ -305,7 +289,8 @@ _RUNNERS: dict[str, Callable[[ReproductionTarget], dict[str, object]]] = {
     "fig1": _run_fig1,
     "fig2": _run_fig2,
     "fig3": _run_fig3,
-    "fig4": partial(_run_hardened_fig, q=199, shifts=(0, 7, 11, 22)),
-    "fig5": partial(_run_hardened_fig, q=997, shifts=(0, 11, 77, 111)),
+    "fig4": partial(_run_hardened_fig, q=199, shifts=FIG3_SHIFTS),
+    "fig5": partial(_run_hardened_fig, q=997, shifts=FIG2_SHIFTS),
     "fig6": _run_fig6,
 }
+TARGET_IDS = tuple(_RUNNERS)

@@ -46,20 +46,16 @@ def d_sequence(q: int, length: int) -> BitSequence:
     period ord_q(2). ``length`` is capped at the sieve's DEFAULT_SIEVE_LIMIT,
     the most a binary primes sequence it is hardened with can have.
     """
-    _check_modulus(q)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if length > DEFAULT_SIEVE_LIMIT:
-        raise ValueError(f"length {length} exceeds supported maximum {DEFAULT_SIEVE_LIMIT}")
-    return BitSequence(length, (1 << length) // q)
-
-
-def _check_modulus(q: int) -> None:
     # the size cap comes first, so no trial division runs past it
     if q > D_SEQUENCE_MAX_MODULUS:
         raise ValueError(f"modulus {q} exceeds supported maximum {D_SEQUENCE_MAX_MODULUS}")
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"modulus must be an odd prime, got {q}")
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    if length > DEFAULT_SIEVE_LIMIT:
+        raise ValueError(f"length {length} exceeds supported maximum {DEFAULT_SIEVE_LIMIT}")
+    return BitSequence(length, (1 << length) // q)
 
 
 def binary_primes_sequence(n: int, shifts: tuple[int, ...]) -> BitSequence:
@@ -145,7 +141,8 @@ def format_sequence(seq: BitSequence, metadata: dict[str, object] | None = None)
     """Render a sequence in the text format, preserving the label as metadata.
 
     Raises ValueError for a metadata key or value (the label included) that
-    holds a line break, since it would spill into the body on parsing. The
+    holds a line break, since it would spill into the body on parsing, and
+    for a key that holds '=', since parsing splits at the first '='. The
     body is built per 1024-line block from the value's bytes, padded to whole
     bytes: translate tables spread each bit into a nibble, ``bytes.hex``
     spells the 64-symbol lines and the padding is cut from the last line.
@@ -160,6 +157,8 @@ def format_sequence(seq: BitSequence, metadata: dict[str, object] | None = None)
         line = f"# {key}={value}"
         if line.splitlines() != [line]:
             raise ValueError(f"metadata {key!r} contains a line break")
+        if "=" in str(key):
+            raise ValueError(f"metadata key {key!r} contains '='")
         lines.append(line)
     pad = -seq.length % 8
     data = (seq.value << pad).to_bytes((seq.length + pad) // 8, "big")
@@ -194,9 +193,8 @@ def parse_sequence(text: str) -> BitSequence:
         raise ValueError("no sequence data found")
     metadata: dict[str, str] = {}
     for line in comments:
-        comment = line[1:].strip()
-        if "=" in comment:
-            key, _, value = comment.partition("=")
+        key, eq, value = line[1:].partition("=")
+        if eq:
             metadata[key.strip()] = value
     label = metadata.get("label")
     if label is None:

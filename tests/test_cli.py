@@ -19,6 +19,7 @@ from primeseq import (
     autocorrelation,
     binary_primes_sequence,
     d_sequence,
+    estimate_search_space,
     format_sequence,
     harden,
     off_peak_stats,
@@ -146,9 +147,22 @@ def test_gen_domain_errors(capsys):
 
 
 def test_gen_dseq_length_bound(capsys):
-    code, out, err = run_cli(capsys, "gen", "dseq", "--q", "3", "--len", "20000000")
-    assert code == 3 and out == ""
-    assert "length 20000000 exceeds supported maximum 16777216" in err
+    # d_sequence refuses the length before any shift set is chosen or parsed
+    for kind in (("dseq",), ("hardened",), ("hardened", "--shifts", "0,1")):
+        code, out, err = run_cli(capsys, "gen", *kind, "--q", "3", "--len", "20000000")
+        assert code == 3 and out == ""
+        assert "length 20000000 exceeds supported maximum 16777216" in err
+
+
+def test_gen_hardened_reports_the_modulus_before_the_shifts(capsys):
+    code, out, err = run_cli(capsys, "gen", "hardened", "--q", "15", "--shifts", "x")
+    assert (code, out, err) == (3, "", "error: modulus must be an odd prime, got 15\n")
+
+
+def test_gen_bps_stdout_is_pinned(capsys):
+    code, out, err = run_cli(capsys, "gen", "bps", "--n", "10", "--shifts", "0,1")
+    assert (code, err) == (0, "")
+    assert out == "# kind=bps\n# n=10\n# shifts=0,1\n# label=kind=bps n=10 shifts=0,1\n0101111100\n"
 
 
 def test_gen_dseq_modulus_above_sieve_cap(capsys):
@@ -422,6 +436,11 @@ def test_complexity_small_n(capsys):
     assert payload["exact_count"] == 180
     assert payload["log10_paper_formula"] == pytest.approx(5.6797, abs=1e-3)
     assert payload["log10_consistent_formula"] == pytest.approx(1.8503, abs=1e-3)
+
+
+def test_complexity_default_l_max_is_the_library_s(capsys):
+    code, out, err = run_cli(capsys, "complexity", "--n", "10")
+    assert (code, out, err) == (0, json.dumps(estimate_search_space(10)) + "\n", "")
 
 
 def test_complexity_large_n_drops_exact_count(capsys):

@@ -387,8 +387,17 @@ label_st = st.text(
 @given(bits=bits_st, label=label_st)
 @settings(max_examples=80)
 def test_round_trip_property(bits, label):
-    seq = seq_of(bits, label=label.strip())
+    seq = seq_of(bits, label=label)
     assert parse_sequence(format_sequence(seq)) == seq
+
+
+def test_metadata_value_kept_verbatim_and_key_refused_with_equals():
+    # the value is everything after the key's first '=', trailing spaces too
+    seq = BitSequence(4, 6, "abc ")
+    assert parse_sequence(format_sequence(seq)) == seq
+    assert parse_sequence(format_sequence(seq_of((1,)), {"a": "b=1 "})).label == "a=b=1 "
+    with pytest.raises(ValueError, match="metadata key 'a=b' contains '='"):
+        format_sequence(seq_of((1,)), {"a=b": 1})
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
