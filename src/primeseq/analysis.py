@@ -45,7 +45,7 @@ class CorrelationConvention(namedtuple("CorrelationConvention", "mapping normali
         return {"mapping": self.mapping, "normalization": self.normalization}
 
 
-DEFAULT_CONVENTION = CorrelationConvention("bipolar", "by-n")
+DEFAULT_CONVENTION = CorrelationConvention()
 
 
 def all_conventions() -> tuple[CorrelationConvention, ...]:

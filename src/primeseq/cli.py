@@ -31,7 +31,7 @@ EXIT_IO = 4
 
 
 def _shifts(n: int, text: str | None, seed: int | None) -> tuple[int, ...]:
-    # explicit offsets win, 0 prepended, checked only by binary_primes_sequence;
+    # explicit offsets, 0 prepended, checked only by binary_primes_sequence;
     # otherwise select_shifts' recommended-count set, random when seeded
     if text is None:
         return select_shifts(n, seed)
@@ -42,7 +42,13 @@ def _shifts(n: int, text: str | None, seed: int | None) -> tuple[int, ...]:
     return values if 0 in values else (0, *values)
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> None:
+    # an option the kind would ignore is refused before any sequence is built
+    for option in {"bps": ("q",), "dseq": ("shifts", "seed"), "hardened": ()}[args.kind]:
+        if getattr(args, option) is not None:
+            raise ValueError(f"gen {args.kind} takes no --{option}")
+    if args.shifts is not None and args.seed is not None:
+        raise ValueError(f"gen {args.kind} takes no --seed with --shifts")
     if args.kind == "bps":
         if args.n is None:
             raise ValueError("gen bps requires --n")
@@ -52,7 +58,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     else:  # dseq or hardened
         if args.q is None:
             raise ValueError(f"gen {args.kind} requires --q")
-        length = args.len if args.len is not None else args.q
+        length = args.n if args.n is not None else args.q
         meta = {"kind": args.kind, "q": args.q, "n": length}
         # d_sequence runs before the shifts are resolved, so a modulus or a
         # length it refuses is reported with its message whatever --shifts holds
@@ -68,35 +74,30 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     else:
         Path(args.out).write_text(text)
-    return EXIT_OK
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> None:
     seq = parse_sequence(Path(args.input).read_text())
     conv = CorrelationConvention(args.convention, args.normalize)
     report = analyze(seq, conv)
     print(json.dumps(report.as_dict()))
     if args.out is not None:
         write_correlation_csv(args.out, report.correlation)
-    return EXIT_OK
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> int:
+def _cmd_reproduce(args: argparse.Namespace) -> None:
     target = make_target(args.fig, args.out)
     summary = run_target(target)
     print(json.dumps(summary))
-    return EXIT_OK
 
 
-def _cmd_complexity(args: argparse.Namespace) -> int:
+def _cmd_complexity(args: argparse.Namespace) -> None:
     print(json.dumps(estimate_search_space(args.n, args.l_max)))
-    return EXIT_OK
 
 
-def _cmd_attack(args: argparse.Namespace) -> int:
+def _cmd_attack(args: argparse.Namespace) -> None:
     result = brute_force_attack(parse_sequence(Path(args.input).read_text()), args.l_max)
     print(json.dumps(result.as_dict()))
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a sequence in the text format")
     p_gen.add_argument("kind", choices=("dseq", "bps", "hardened"))
     p_gen.add_argument("--q", type=int, help="odd prime modulus for dseq/hardened")
-    p_gen.add_argument("--n", type=int, help="sequence length for bps")
-    p_gen.add_argument("--len", type=int, help="emitted length (defaults to q)")
+    p_gen.add_argument("--n", "--len", type=int,
+                       help="sequence length: required for bps, defaults to q for dseq/hardened")
     p_gen.add_argument(
         "--shifts",
         help="comma-separated shift offsets; the unshifted 0 is prepended "
@@ -151,13 +152,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Reproduction harness for the published reference tables and figures.
 
 Each target regenerates one published item from the parameters its runner
-fixes, writes a CSV trace and returns a summary dict. Published cell values
-are hard-coded so mismatches between regenerated and printed data are
-flagged rather than silently absorbed.
+fixes, writes a CSV trace and returns a summary dict, keyed ``target`` first
+and ``output`` last. Published cell values are hard-coded so mismatches
+between regenerated and printed data are flagged, not silently absorbed.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ def make_target(target_id: str, output_path: str | Path | None = None) -> Reprod
 
 def run_target(target: ReproductionTarget) -> dict[str, object]:
     """Regenerate the target, write its CSV and return the summary."""
-    return _RUNNERS[target.id](target)
+    return {"target": target.id, **_RUNNERS[target.id](target.output_path), "output": str(target.output_path)}
 
 
 def _fmt(value: float) -> str:
@@ -79,7 +79,7 @@ def write_correlation_csv(path: str | Path, series: CorrelationSeries) -> None:
     # 0.0 and -0.0 are one dict key but print as 0 and -0, so each zero cell
     # takes its own text.
     values = series.values
-    text = {v: format(v, ".10g") + "\n" for v in set(values)}
+    text = {v: _fmt(v) + "\n" for v in set(values)}
     zero = 0.0 in text
     heads = [f"{k}," for k in range(min(len(values), _CSV_BLOCK))]
     tails = [f"{k:03}," for k in range(_CSV_BLOCK)] if len(values) > _CSV_BLOCK else heads
@@ -93,7 +93,7 @@ def write_correlation_csv(path: str | Path, series: CorrelationSeries) -> None:
             i = -1
             for _ in range(block.count(0.0) if zero else 0):
                 i = block.index(0.0, i + 1)
-                parts[3 * i + 2] = format(block[i], ".10g") + "\n"
+                parts[3 * i + 2] = _fmt(block[i]) + "\n"
             fh.write("".join(parts))
 
 
@@ -103,7 +103,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
         fh.writelines(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
-def _run_table(target: ReproductionTarget, published, shifts: tuple[int, ...]) -> dict[str, object]:
+def _run_table(path: Path, published, shifts: tuple[int, ...]) -> dict[str, object]:
     n = 10
     base = binary_primes_sequence(n, (0,)).value
     computed_rows = [format(base >> a, f"0{n}b") for a in shifts]
@@ -135,45 +135,40 @@ def _run_table(target: ReproductionTarget, published, shifts: tuple[int, ...]) -
             ]
         )
     _write_csv(
-        target.output_path,
+        path,
         ["row", "computed_bits", "computed_ones", "published_bits", "published_ones",
          "match_paper", "mismatch_positions"],
         rows,
     )
     return {
-        "target": target.id,
         "rows": len(rows),
         "rows_matching_published": len(rows) - len(mismatched),
         "mismatches": mismatched,
-        "output": str(target.output_path),
     }
 
 
-def _run_fig1(target: ReproductionTarget) -> dict[str, object]:
+def _run_fig1(path: Path) -> dict[str, object]:
     # geometric sample of 2..10^6, dense enough to plot the step curve
     lengths = sorted({round(2 * (500_000 ** (k / 179))) for k in range(180)})
     rows = [[n, recommended_shift_count(n)] for n in lengths]
-    _write_csv(target.output_path, ["n", "l"], rows)
+    _write_csv(path, ["n", "l"], rows)
     return {
-        "target": "fig1",
         "rows": len(rows),
         "n_range": [rows[0][0], rows[-1][0]],
         "l_range": [rows[0][1], rows[-1][1]],
-        "output": str(target.output_path),
     }
 
 
-def _run_fig2(target: ReproductionTarget) -> dict[str, object]:
+def _run_fig2(path: Path) -> dict[str, object]:
     n = 997
     seq = binary_primes_sequence(n, FIG2_SHIFTS)
-    write_correlation_csv(target.output_path, autocorrelation(seq, DEFAULT_CONVENTION))
+    write_correlation_csv(path, autocorrelation(seq))
     records = []
     for conv in all_conventions():
         max_off, mean_off = off_peak_stats(autocorrelation(seq, conv))
         records.append(
             {
-                "mapping": conv.mapping,
-                "normalization": conv.normalization,
+                **conv.as_dict(),
                 "max_offpeak": max_off,
                 "mean_offpeak": mean_off,
                 "max_delta_to_reference": abs(max_off - REFERENCE_OFFPEAK_997),
@@ -181,23 +176,21 @@ def _run_fig2(target: ReproductionTarget) -> dict[str, object]:
             }
         )
     return {
-        "target": "fig2",
         "n": n,
         "shifts": list(FIG2_SHIFTS),
         "convention": DEFAULT_CONVENTION.as_dict(),
         "reference_offpeak": REFERENCE_OFFPEAK_997,
         "offpeak_by_convention": records,
-        "output": str(target.output_path),
     }
 
 
-def _run_fig3(target: ReproductionTarget) -> dict[str, object]:
+def _run_fig3(path: Path) -> dict[str, object]:
     rows = []
     for n in FIG3_SWEEP_PRIMES:
         seq = binary_primes_sequence(n, FIG3_SHIFTS)
-        r = randomness_measure(autocorrelation(seq, DEFAULT_CONVENTION))
+        r = randomness_measure(autocorrelation(seq))
         rows.append([n, _fmt(r)])
-    _write_csv(target.output_path, ["n", "randomness"], rows)
+    _write_csv(path, ["n", "randomness"], rows)
 
     # the published scalar claim lives at n=199; record R under every convention
     seq199 = binary_primes_sequence(199, FIG3_SHIFTS)
@@ -206,8 +199,7 @@ def _run_fig3(target: ReproductionTarget) -> dict[str, object]:
         r = randomness_measure(autocorrelation(seq199, conv))
         records.append(
             {
-                "mapping": conv.mapping,
-                "normalization": conv.normalization,
+                **conv.as_dict(),
                 "randomness": r,
                 "delta_to_reference": abs(r - REFERENCE_RANDOMNESS_199),
                 "within_tolerance": abs(r - REFERENCE_RANDOMNESS_199) <= RANDOMNESS_TOLERANCE,
@@ -215,26 +207,23 @@ def _run_fig3(target: ReproductionTarget) -> dict[str, object]:
         )
     matching = [f"{rec['mapping']}/{rec['normalization']}" for rec in records if rec["within_tolerance"]]
     return {
-        "target": "fig3",
         "shifts": list(FIG3_SHIFTS),
         "sweep": [int(r[0]) for r in rows],
         "reference_randomness": REFERENCE_RANDOMNESS_199,
         "tolerance": RANDOMNESS_TOLERANCE,
         "randomness_199_by_convention": records,
         "matching_conventions": matching,
-        "output": str(target.output_path),
     }
 
 
-def _run_hardened_fig(target: ReproductionTarget, q: int, shifts: tuple[int, ...]) -> dict[str, object]:
+def _run_hardened_fig(path: Path, q: int, shifts: tuple[int, ...]) -> dict[str, object]:
     pn = d_sequence(q, q)
     bps = binary_primes_sequence(q, shifts)
-    hardened_corr = autocorrelation(harden(pn, bps), DEFAULT_CONVENTION)
-    write_correlation_csv(target.output_path, hardened_corr)
+    hardened_corr = autocorrelation(harden(pn, bps))
+    write_correlation_csv(path, hardened_corr)
     max_p, mean_p = off_peak_stats(hardened_corr)
-    max_d, mean_d = off_peak_stats(autocorrelation(pn, DEFAULT_CONVENTION))
+    max_d, mean_d = off_peak_stats(autocorrelation(pn))
     return {
-        "target": target.id,
         "q": q,
         "shifts": list(shifts),
         "convention": DEFAULT_CONVENTION.as_dict(),
@@ -242,11 +231,10 @@ def _run_hardened_fig(target: ReproductionTarget, q: int, shifts: tuple[int, ...
         "mean_offpeak_dseq": mean_d,
         "max_offpeak_hardened": max_p,
         "max_offpeak_dseq": max_d,
-        "output": str(target.output_path),
     }
 
 
-def _run_fig6(target: ReproductionTarget) -> dict[str, object]:
+def _run_fig6(path: Path) -> dict[str, object]:
     lo, hi = FIG6_PRIME_RANGE
     table = sieve_primes(hi)
     primes = [p for p in range(lo, hi + 1) if table.is_prime[p]]
@@ -256,11 +244,11 @@ def _run_fig6(target: ReproductionTarget) -> dict[str, object]:
         bps = binary_primes_sequence(p, shifts)
         pn = d_sequence(p, p)
         hardened = harden(pn, bps)
-        _, mean_b = off_peak_stats(autocorrelation(bps, DEFAULT_CONVENTION))
-        _, mean_p = off_peak_stats(autocorrelation(hardened, DEFAULT_CONVENTION))
+        _, mean_b = off_peak_stats(autocorrelation(bps))
+        _, mean_p = off_peak_stats(autocorrelation(hardened))
         rows.append([p, _fmt(mean_b), _fmt(mean_p), ";".join(map(str, shifts))])
     _write_csv(
-        target.output_path,
+        path,
         ["prime", "mean_offpeak_b", "mean_offpeak_p", "shifts"],
         rows,
     )
@@ -270,7 +258,6 @@ def _run_fig6(target: ReproductionTarget) -> dict[str, object]:
     p_mean = sum(primes) / len(primes)
     decreasing = math.fsum((p - p_mean) * y for p, y in zip(primes, hardened_means)) < 0
     return {
-        "target": "fig6",
         "primes": len(rows),
         "first_prime": primes[0],
         "last_prime": primes[-1],
@@ -279,11 +266,10 @@ def _run_fig6(target: ReproductionTarget) -> dict[str, object]:
         "mean_offpeak_b_first": float(rows[0][1]),
         "mean_offpeak_b_last": float(rows[-1][1]),
         "trend": "off-peak decreases with p" if decreasing else "off-peak does not decrease with p",
-        "output": str(target.output_path),
     }
 
 
-_RUNNERS: dict[str, Callable[[ReproductionTarget], dict[str, object]]] = {
+_RUNNERS: dict[str, Callable[[Path], dict[str, object]]] = {
     "table1": partial(_run_table, published=TABLE1_PUBLISHED, shifts=(0, 1)),
     "table2": partial(_run_table, published=TABLE2_PUBLISHED, shifts=(0, 1, 2)),
     "fig1": _run_fig1,

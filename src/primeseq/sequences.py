@@ -142,12 +142,12 @@ def format_sequence(seq: BitSequence, metadata: dict[str, object] | None = None)
 
     Raises ValueError for a metadata key or value (the label included) that
     holds a line break, since it would spill into the body on parsing, and
-    for a key that holds '=', since parsing splits at the first '='. The
-    body is built per 1024-line block from the value's bytes, padded to whole
-    bytes: translate tables spread each bit into a nibble, ``bytes.hex``
-    spells the 64-symbol lines and the padding is cut from the last line.
-    The peak is about two copies of the text, the blocks and the returned
-    string, near 2.1 bytes per bit.
+    for a key that holds '=' or surrounding whitespace, since parsing splits
+    at the first '=' and strips the key. The body is built per 1024-line block
+    from the value's bytes, padded to whole bytes: translate tables spread
+    each bit into a nibble, ``bytes.hex`` spells the 64-symbol lines and the
+    padding is cut from the last line. The peak is about two copies of the
+    text, the blocks and the returned string, near 2.1 bytes per bit.
     """
     lines = []
     metadata = dict(metadata or {})
@@ -159,6 +159,8 @@ def format_sequence(seq: BitSequence, metadata: dict[str, object] | None = None)
             raise ValueError(f"metadata {key!r} contains a line break")
         if "=" in str(key):
             raise ValueError(f"metadata key {key!r} contains '='")
+        if str(key) != str(key).strip():
+            raise ValueError(f"metadata key {key!r} has surrounding whitespace")
         lines.append(line)
     pad = -seq.length % 8
     data = (seq.value << pad).to_bytes((seq.length + pad) // 8, "big")

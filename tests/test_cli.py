@@ -146,6 +146,28 @@ def test_gen_domain_errors(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("dseq", "--q", "13", "--shifts", "0,1"), "--shifts"),
+    (("dseq", "--q", "13", "--seed", "5"), "--seed"),
+    (("bps", "--n", "10", "--q", "13"), "--q"),
+    (("bps", "--n", "10", "--shifts", "0,1", "--seed", "5"), "--seed with --shifts"),
+    (("hardened", "--q", "13", "--shifts", "0,1", "--seed", "5"), "--seed with --shifts"),
+], ids=["dseq-shifts", "dseq-seed", "bps-q", "bps-shifts-seed", "hardened-shifts-seed"])
+def test_gen_refuses_options_its_kind_ignores(capsys, sieve_limits, argv, option):
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert (code, out, err) == (3, "", f"error: gen {argv[0]} takes no {option}\n")
+    assert sieve_limits == []
+
+
+@pytest.mark.parametrize("kind", ["dseq", "hardened"])
+def test_gen_n_and_len_are_one_option(capsys, kind):
+    code, out, err = run_cli(capsys, "gen", kind, "--q", "13", "--n", "5")
+    assert (code, err) == (0, "")
+    assert "# n=5" in out.splitlines()
+    assert len(out.splitlines()[-1]) == 5
+    assert run_cli(capsys, "gen", kind, "--q", "13", "--len", "5") == (0, out, "")
+
+
 def test_gen_dseq_length_bound(capsys):
     # d_sequence refuses the length before any shift set is chosen or parsed
     for kind in (("dseq",), ("hardened",), ("hardened", "--shifts", "0,1")):
@@ -602,6 +624,23 @@ def test_reproduce_fig6_trend(tmp_path, capsys, monkeypatch, prime_range, first,
     assert summary["first_prime"] == first
     assert summary["last_prime"] == last
     assert summary["trend"] == "off-peak decreases with p"
+
+
+GOLDEN_REPRODUCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "golden_reproduce.json").read_text()
+)["targets"]
+
+
+@pytest.mark.parametrize("target", reproduce.TARGET_IDS)
+def test_reproduce_matches_golden_digests(tmp_path, capsys, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "reproduce", "--fig", target, "--out", f"{target}.csv")
+    assert (code, err) == (0, "")
+    digests = {"csv_sha256": hashlib.sha256((tmp_path / f"{target}.csv").read_bytes()).hexdigest(),
+               "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
+    assert digests == GOLDEN_REPRODUCE[target]
+    keys = list(json.loads(out))
+    assert (keys[0], keys[-1]) == ("target", "output")
 
 
 def test_reproduce_unwritable_output(tmp_path, capsys):
