@@ -70,15 +70,15 @@ def exact_hypothesis_count(n: int, l_max: int) -> int:
     pi(n) prime choices times the number of ways to pick 1..l_max distinct
     added shifts from 1..n-1 (the offset 0 is fixed).
     """
+    return _shift_set_count(n, l_max) * count_primes(n)
+
+
+def _shift_set_count(n: int, l_max: int) -> int:
+    # sets of 1..l_max distinct added shifts from 1..n-1; the one (n, l_max) check
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     if not 1 <= l_max <= n - 1:
         raise ValueError(f"l_max must be in 1..{n - 1}, got {l_max}")
-    return count_primes(n) * _shift_set_count(n, l_max)
-
-
-def _shift_set_count(n: int, l_max: int) -> int:
-    # sets of 1..l_max distinct added shifts from 1..n-1
     return sum(math.comb(n - 1, l) for l in range(1, l_max + 1))
 
 
@@ -91,8 +91,8 @@ def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
     row: its first one at position p can only come from added shift p - 2, so
     that row is XORed out, at most l_max times. hypotheses_tested counts the
     pairs decided, the candidate count times the sets of 1..l_max added
-    shifts. Output is ordered by q then by shifts. The size caps are checked
-    before the one sieve, to n.
+    shifts. Output is ordered by q then by shifts. The size caps, then the
+    (n, l_max) domain, are checked before the one sieve, to n.
     """
     n = observed.length
     if n > ATTACK_MAX_LENGTH or l_max > ATTACK_MAX_ADDED_SHIFTS:
@@ -100,10 +100,7 @@ def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
             f"instance too large: enforced bounds are n <= {ATTACK_MAX_LENGTH} "
             f"and l_max <= {ATTACK_MAX_ADDED_SHIFTS}, got n={n}, l_max={l_max}"
         )
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if not 1 <= l_max <= n - 1:
-        raise ValueError(f"l_max must be in 1..{n - 1}, got {l_max}")
+    shift_sets = _shift_set_count(n, l_max)
 
     # indicator row over positions 1..n; added shift a contributes base >> a,
     # whose first one is at position a + 2, and base >> (n - 1) is 0
@@ -127,7 +124,7 @@ def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
             # Candidates ascend, so matches come out ordered by q then shifts
             matches.extend((q, (0, *s)) for s in (added, [*added, n - 1])
                            if 1 <= len(s) <= l_max)
-    return AttackResult(tuple(matches), len(candidates) * _shift_set_count(n, l_max))
+    return AttackResult(tuple(matches), len(candidates) * shift_sets)
 
 
 def estimate_search_space(n: int, l_max: int = ATTACK_MAX_ADDED_SHIFTS) -> dict[str, object]:

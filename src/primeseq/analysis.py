@@ -31,6 +31,8 @@ LAG_SUM_TRANSFORM_MIN_LENGTH = 3650
 
 class CorrelationConvention(namedtuple("CorrelationConvention", "mapping normalization")):
     __slots__ = ()
+    # _replace builds through _make, so both run the checks of __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, mapping: str = "bipolar", normalization: str = "by-n"):
         if mapping not in MAPPINGS:
@@ -75,17 +77,13 @@ class AnalysisReport(namedtuple(
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields if f != "correlation")
         return f"AnalysisReport({shown})"
 
-    @property
-    def convention(self) -> CorrelationConvention:
-        return self.correlation.convention
-
     def as_dict(self) -> dict[str, object]:
         return {
             "randomness": self.randomness,
             "max_offpeak": self.max_offpeak,
             "mean_offpeak": self.mean_offpeak,
             "ones_fraction": self.ones_fraction,
-            "convention": self.convention.as_dict(),
+            "convention": self.correlation.convention.as_dict(),
             "sequence_label": self.sequence_label,
         }
 
@@ -169,13 +167,12 @@ def autocorrelation(seq: BitSequence, conv: CorrelationConvention = DEFAULT_CONV
     # A sequence has only about sqrt(n) distinct lag sums, so each is divided
     # once and equal lags share one float.
     base, scale = (n - 4 * sums[0], 4) if conv.mapping == "bipolar" else (0, 1)
-    if conv.normalization == "by-n":
-        value_of = {s: (base + scale * s) / n for s in set(sums)}
-    else:
-        peak = (base + scale * sums[0]) / n
+    value_of = {s: (base + scale * s) / n for s in set(sums)}
+    if conv.normalization == "by-peak":
+        peak = value_of[sums[0]]
         if peak == 0:
             raise ValueError("cannot normalize by peak: lag-0 value is zero")
-        value_of = {s: (base + scale * s) / n / peak for s in set(sums)}
+        value_of = {s: v / peak for s, v in value_of.items()}
     # the sums cover lags 0..n//2, and c(k) = c(n-k) gives the rest
     half = tuple(map(value_of.__getitem__, sums))
     return CorrelationSeries(half + half[n - n // 2 - 1:0:-1], conv)
@@ -188,19 +185,15 @@ def _off_peak_summary(corr: CorrelationSeries) -> tuple[float, float, float]:
         raise ValueError(f"series too short: length {n}")
     values = corr.values
     paired = values[1:(n + 1) // 2]
-    if paired == values[:n // 2:-1]:
-        # c(k) = c(n-k), as for every series autocorrelation returns, so each
-        # lag 1..(n-1)//2 stands for two lags; the middle lag of even n stands
-        # for one, and enters the doubled sum halved (odd n has none: 0.0).
-        # Above the subnormal range halving and doubling are exact, so the sum
-        # is the same correctly rounded float as over all n-1 lags.
-        middle = abs(values[n // 2]) if n % 2 == 0 else 0.0
-        mx = max(chain(map(abs, paired), (middle,)))
-        total = 2 * math.fsum(chain(map(abs, paired), (middle / 2,)))
-    else:
-        off = values[1:]
-        mx = max(map(abs, off))
-        total = math.fsum(map(abs, off))
+    if paired != values[:n // 2:-1]:
+        raise ValueError("not a cyclic autocorrelation: c(k) differs from c(n-k)")
+    # c(k) = c(n-k), so each lag 1..(n-1)//2 stands for two lags; the middle
+    # lag of even n stands for one, and enters the doubled sum halved (odd n
+    # has none: 0.0). Above the subnormal range halving and doubling are
+    # exact, so the sum is the same correctly rounded float as over all n-1 lags.
+    middle = abs(values[n // 2]) if n % 2 == 0 else 0.0
+    mx = max(chain(map(abs, paired), (middle,)))
+    total = 2 * math.fsum(chain(map(abs, paired), (middle / 2,)))
     mean = total / (n - 1)
     # rounding must not push the mean past the max; |c| <= 1 under every
     # convention, so R = 1 - mean is in [0, 1] bar the last ulp

@@ -20,6 +20,8 @@ class PrimeTable(namedtuple("PrimeTable", "limit is_prime")):
     """Primality bitmap for 0..limit; ``is_prime[k]`` is nonzero iff k is prime."""
 
     __slots__ = ()
+    # _replace builds through _make, so both run the checks of __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, limit: int, is_prime: bytes):
         if limit < 2:

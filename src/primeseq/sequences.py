@@ -26,6 +26,8 @@ class BitSequence(namedtuple("BitSequence", "length value label")):
     """
 
     __slots__ = ()
+    # _replace builds through _make, so both run the checks of __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, length: int, value: int, label: str = ""):
         if length < 1:
@@ -110,8 +112,6 @@ def select_shifts(n: int, seed: int | None = None) -> tuple[int, ...]:
     reproducible for that seed. n is capped at the sieve's DEFAULT_SIEVE_LIMIT,
     the longest binary primes sequence the set can shift.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
     if n > DEFAULT_SIEVE_LIMIT:
         raise ValueError(f"n {n} exceeds supported maximum {DEFAULT_SIEVE_LIMIT}")
     l = recommended_shift_count(n)

@@ -345,7 +345,7 @@ def test_analyze_all_ones():
     assert report.max_offpeak == 1.0
     assert report.ones_fraction == 1.0
     assert report.sequence_label == "ones"
-    assert report.convention == DEFAULT_CONVENTION
+    assert report.correlation.convention == DEFAULT_CONVENTION
 
 
 def test_analyze_matches_oracle_on_d13():
@@ -398,12 +398,14 @@ def test_off_peak_summary_over_half_the_lags_equals_full_range(n):
         assert _hex_summary(corr) == [v.hex() for v in _full_range_summary(corr)]
 
 
-def test_off_peak_summary_of_asymmetric_series_sums_every_lag():
-    # c(k) != c(n-k), so lags 1..n//2 alone would miss the 0.9 at lag n-1
+def test_off_peak_summary_refuses_asymmetric_series():
+    # c(k) != c(n-k), so no cyclic autocorrelation has these values
     for values in ((1.0, 0.5, 0.25, 0.125, 0.9), (1.0, 0.5, 0.25, -0.125, 0.9, 0.5)):
         corr = CorrelationSeries(values, DEFAULT_CONVENTION)
-        assert _hex_summary(corr) == [v.hex() for v in _full_range_summary(corr)]
-        assert off_peak_stats(corr)[0] == 0.9
+        for summary in (off_peak_stats, randomness_measure):
+            with pytest.raises(ValueError) as exc:
+                summary(corr)
+            assert str(exc.value) == "not a cyclic autocorrelation: c(k) differs from c(n-k)"
 
 
 def test_analyze_report_dict_shape():

@@ -18,8 +18,10 @@ from primeseq import (
     all_conventions,
     autocorrelation,
     binary_primes_sequence,
+    brute_force_attack,
     d_sequence,
     estimate_search_space,
+    exact_hypothesis_count,
     format_sequence,
     harden,
     off_peak_stats,
@@ -542,6 +544,26 @@ def test_attack_sieves_once_to_n(tmp_path, capsys, sieve_limits):
     sieve_limits.clear()
     code, _, _ = run_cli(capsys, "attack", str(target), "--l-max", "2")
     assert code == 0 and sieve_limits == [20]
+
+
+@pytest.mark.parametrize("n, l_max", [(2, 1), (3, 3), (10, 0), (10, -5)])
+def test_adversary_domain_is_checked_once(n, l_max, sieve_limits):
+    # the count and the attack share one (n, l_max) check, run before any sieve
+    messages = []
+    for call in (lambda: exact_hypothesis_count(n, l_max),
+                 lambda: brute_force_attack(BitSequence(n, 1), l_max)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert sieve_limits == []
+
+
+def test_attack_and_complexity_refuse_l_max_zero(tmp_path, capsys):
+    target = tmp_path / "obs.txt"
+    target.write_text("0" * 10 + "\n")
+    for argv in (("attack", str(target), "--l-max", "0"), ("complexity", "--n", "10", "--l-max", "0")):
+        assert run_cli(capsys, *argv) == (3, "", "error: l_max must be in 1..9, got 0\n")
 
 
 # --- reproduce ------------------------------------------------------------------------

@@ -83,7 +83,8 @@ def test_cli_start_up_does_not_import_decimal():
 
 def test_cli_start_up_does_not_import_dataclasses_inspect_or_csv():
     # records are named tuples, since dataclasses (which pulls in inspect)
-    # roughly doubled start-up; only reproduce writes csv, and imports it there
+    # roughly doubled start-up; reproduce writes its CSVs as plain text, so
+    # nothing in the package imports csv
     assert _start_up_modules({"dataclasses", "inspect", "csv"}) == []
 
 

@@ -86,6 +86,35 @@ def test_record_validation_messages(make, message):
     assert str(exc.value) == message
 
 
+# a bad _replace and a bad _make for each record that validates, with the
+# message its constructor gives each
+BAD_REBUILDS = {
+    "PrimeTable": ({"limit": 1}, (3, b"\0\1\1\0"),
+                   ("prime table limit must be >= 2, got 1", "0 and 1 are not prime")),
+    "BitSequence": ({"length": 0}, (2, 99, ""),
+                    ("sequence must have at least one bit", "value does not fit in 2 bits")),
+    "CorrelationConvention": ({"mapping": "signed"}, ("bipolar", "by-two"),
+                              ("mapping must be one of ('raw01', 'bipolar'), got 'signed'",
+                               "normalization must be one of ('by-n', 'by-peak'), got 'by-two'")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_REBUILDS))
+def test_replace_and_make_run_the_constructor_checks(name):
+    bad_replace, bad_make, (replace_message, make_message) = BAD_REBUILDS[name]
+    record = RECORDS[name]()
+    cls = type(record)
+    with pytest.raises(ValueError) as exc:
+        record._replace(**bad_replace)
+    assert str(exc.value) == replace_message
+    with pytest.raises(ValueError) as exc:
+        cls._make(bad_make)
+    assert str(exc.value) == make_message
+    same = record._replace()
+    assert type(same) is cls and same == record
+    assert type(cls._make(record)) is cls
+
+
 def test_keyword_and_default_construction():
     assert BitSequence(length=4, value=6) == BitSequence(4, 6, "")
     assert CorrelationConvention() == DEFAULT_CONVENTION == ("bipolar", "by-n")
