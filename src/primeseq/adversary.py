@@ -70,16 +70,16 @@ def exact_hypothesis_count(n: int, l_max: int) -> int:
     pi(n) prime choices times the number of ways to pick 1..l_max distinct
     added shifts from 1..n-1 (the offset 0 is fixed).
     """
-    return _shift_set_count(n, l_max) * count_primes(n)
+    set_sizes = _shift_set_sizes(n, l_max)  # the domain, then the sieve's cap, then the sum
+    return count_primes(n) * sum(set_sizes)
 
 
-def _shift_set_count(n: int, l_max: int) -> int:
-    # sets of 1..l_max distinct added shifts from 1..n-1; the one (n, l_max) check
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+def _shift_set_sizes(n: int, l_max: int):
+    # the one (n, l_max) check, run at the call; the C(n-1, l) iterator waits for the sum
+    _check_formula_n(n)
     if not 1 <= l_max <= n - 1:
         raise ValueError(f"l_max must be in 1..{n - 1}, got {l_max}")
-    return sum(math.comb(n - 1, l) for l in range(1, l_max + 1))
+    return (math.comb(n - 1, l) for l in range(1, l_max + 1))
 
 
 def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
@@ -100,7 +100,7 @@ def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
             f"instance too large: enforced bounds are n <= {ATTACK_MAX_LENGTH} "
             f"and l_max <= {ATTACK_MAX_ADDED_SHIFTS}, got n={n}, l_max={l_max}"
         )
-    shift_sets = _shift_set_count(n, l_max)
+    set_sizes = _shift_set_sizes(n, l_max)
 
     # indicator row over positions 1..n; added shift a contributes base >> a,
     # whose first one is at position a + 2, and base >> (n - 1) is 0
@@ -124,7 +124,7 @@ def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
             # Candidates ascend, so matches come out ordered by q then shifts
             matches.extend((q, (0, *s)) for s in (added, [*added, n - 1])
                            if 1 <= len(s) <= l_max)
-    return AttackResult(tuple(matches), len(candidates) * shift_sets)
+    return AttackResult(tuple(matches), len(candidates) * sum(set_sizes))
 
 
 def estimate_search_space(n: int, l_max: int = ATTACK_MAX_ADDED_SHIFTS) -> dict[str, object]:
@@ -138,9 +138,8 @@ def estimate_search_space(n: int, l_max: int = ATTACK_MAX_ADDED_SHIFTS) -> dict[
         "log10_paper_formula": search_space_log10_paper(n),
         "log10_consistent_formula": search_space_log10_consistent(n),
     }
+    if l_max < 1:
+        raise ValueError(f"l_max must be >= 1, got {l_max}")
     if n <= ATTACK_MAX_LENGTH:
         payload["exact_count"] = exact_hypothesis_count(n, min(l_max, n - 1))
-    elif l_max < 1:
-        # exact_hypothesis_count checks l_max where it runs; here nothing else does
-        raise ValueError(f"l_max must be >= 1, got {l_max}")
     return payload

@@ -60,8 +60,7 @@ def _cmd_gen(args: argparse.Namespace) -> None:
             raise ValueError(f"gen {args.kind} requires --q")
         length = args.n if args.n is not None else args.q
         meta = {"kind": args.kind, "q": args.q, "n": length}
-        # d_sequence runs before the shifts are resolved, so a modulus or a
-        # length it refuses is reported with its message whatever --shifts holds
+        # d_sequence runs first, so a modulus it refuses is reported whatever --shifts holds
         seq = d_sequence(args.q, length)
         if args.kind == "hardened":
             shifts = _shifts(length, args.shifts, args.seed)

@@ -53,11 +53,15 @@ def d_sequence(q: int, length: int) -> BitSequence:
         raise ValueError(f"modulus {q} exceeds supported maximum {D_SEQUENCE_MAX_MODULUS}")
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"modulus must be an odd prime, got {q}")
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    _check_length(length, 1)
+    return BitSequence(length, (1 << length) // q)
+
+
+def _check_length(length: int, least: int) -> None:
+    if length < least:
+        raise ValueError(f"length must be >= {least}, got {length}")
     if length > DEFAULT_SIEVE_LIMIT:
         raise ValueError(f"length {length} exceeds supported maximum {DEFAULT_SIEVE_LIMIT}")
-    return BitSequence(length, (1 << length) // q)
 
 
 def binary_primes_sequence(n: int, shifts: tuple[int, ...]) -> BitSequence:
@@ -67,7 +71,7 @@ def binary_primes_sequence(n: int, shifts: tuple[int, ...]) -> BitSequence:
     among them, in any order. Bit k is the GF(2) sum over the offsets of "is
     k - a prime", where terms with k - a < 2 contribute nothing. With the
     single offset 0 this is the raw indicator row itself. The primes up to n
-    come from ``sieve_primes(n)``, whose cap bounds n.
+    come from ``sieve_primes(n)``, so n is capped at its DEFAULT_SIEVE_LIMIT.
     """
     # the offsets are checked before n, so a bad set is reported whatever n is
     if len(set(shifts)) != len(shifts):
@@ -76,8 +80,7 @@ def binary_primes_sequence(n: int, shifts: tuple[int, ...]) -> BitSequence:
         raise ValueError(f"shift offsets must be non-negative, got {shifts}")
     if 0 not in shifts:
         raise ValueError("shift set must contain the unshifted offset 0")
-    if n < 2:
-        raise ValueError(f"sequence length must be >= 2, got {n}")
+    _check_length(n, 2)
     if max(shifts) >= n:
         raise ValueError(f"shift {max(shifts)} out of range for length {n}")
     # position k is bit n - k of the row, and 2 is its only even prime; the
@@ -112,8 +115,7 @@ def select_shifts(n: int, seed: int | None = None) -> tuple[int, ...]:
     reproducible for that seed. n is capped at the sieve's DEFAULT_SIEVE_LIMIT,
     the longest binary primes sequence the set can shift.
     """
-    if n > DEFAULT_SIEVE_LIMIT:
-        raise ValueError(f"n {n} exceeds supported maximum {DEFAULT_SIEVE_LIMIT}")
+    _check_length(n, 2)
     l = recommended_shift_count(n)
     if seed is not None:
         return (0, *sorted(random.Random(seed).sample(range(1, n), l)))

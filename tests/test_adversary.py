@@ -108,6 +108,25 @@ def test_exact_hypothesis_count_bounds():
         exact_hypothesis_count(10, 10)
 
 
+def test_exact_hypothesis_count_refuses_before_summing(monkeypatch):
+    # the (n, l_max) domain, then the sieve's cap on n, are checked before any
+    # binomial is summed, so a refused n costs no C(n-1, l)
+    calls = []
+    real = math.comb
+
+    def recording(n, k):
+        calls.append((n, k))
+        return real(n, k)
+
+    monkeypatch.setattr(math, "comb", recording)
+    with pytest.raises(ValueError, match=r"^l_max must be in 1\.\.999999999, got 0$"):
+        exact_hypothesis_count(10**9, 0)
+    with pytest.raises(ValueError, match="^sieve limit 1000000000 exceeds supported maximum 16777216$"):
+        exact_hypothesis_count(10**9, 3)
+    assert calls == []
+    assert exact_hypothesis_count(10, 2) == 180 and calls == [(9, 1), (9, 2)]
+
+
 # --- toy attack ----------------------------------------------------------------
 
 def planted_instance(q=13, added=(1,), n=10):

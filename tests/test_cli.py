@@ -170,12 +170,21 @@ def test_gen_n_and_len_are_one_option(capsys, kind):
     assert run_cli(capsys, "gen", kind, "--q", "13", "--len", "5") == (0, out, "")
 
 
-def test_gen_dseq_length_bound(capsys):
-    # d_sequence refuses the length before any shift set is chosen or parsed
-    for kind in (("dseq",), ("hardened",), ("hardened", "--shifts", "0,1")):
-        code, out, err = run_cli(capsys, "gen", *kind, "--q", "3", "--len", "20000000")
-        assert code == 3 and out == ""
-        assert "length 20000000 exceeds supported maximum 16777216" in err
+def test_gen_dseq_length_bound(capsys, sieve_limits):
+    # one length rule: every kind and shift mode refuses a length with one
+    # line per bound, before any sieve; dseq takes no shift options, and
+    # bps and hardened need two positions for their shifted rows
+    for kind, q, least, modes in (
+        ("bps", (), 2, ((), ("--seed", "1"), ("--shifts", "0"))),
+        ("dseq", ("--q", "13"), 1, ((),)),
+        ("hardened", ("--q", "13"), 2, ((), ("--seed", "1"), ("--shifts", "0"))),
+    ):
+        for n, line in ((least - 1, f"length must be >= {least}, got {least - 1}"),
+                        (16777217, "length 16777217 exceeds supported maximum 16777216")):
+            for mode in modes:
+                argv = ("gen", kind, *q, "--n", str(n), *mode)
+                assert run_cli(capsys, *argv) == (3, "", f"error: {line}\n"), argv
+    assert sieve_limits == []
 
 
 def test_gen_hardened_reports_the_modulus_before_the_shifts(capsys):
@@ -492,9 +501,11 @@ def test_complexity_refuses_n_whose_square_overflows_a_double(capsys):
         assert "exceeds supported maximum" in err
 
 
-def test_complexity_refuses_l_max_below_one_at_large_n(capsys):
+@pytest.mark.parametrize("n", ["10", "1000"])
+def test_complexity_refuses_l_max_below_one(capsys, n):
+    # one message on both sides of the exact-count cutoff at n = 24
     for l_max in ("0", "-5"):
-        code, out, err = run_cli(capsys, "complexity", "--n", "1000", "--l-max", l_max)
+        code, out, err = run_cli(capsys, "complexity", "--n", n, "--l-max", l_max)
         assert code == 3 and out == ""
         assert err == f"error: l_max must be >= 1, got {l_max}\n"
 
@@ -562,8 +573,11 @@ def test_adversary_domain_is_checked_once(n, l_max, sieve_limits):
 def test_attack_and_complexity_refuse_l_max_zero(tmp_path, capsys):
     target = tmp_path / "obs.txt"
     target.write_text("0" * 10 + "\n")
-    for argv in (("attack", str(target), "--l-max", "0"), ("complexity", "--n", "10", "--l-max", "0")):
-        assert run_cli(capsys, *argv) == (3, "", "error: l_max must be in 1..9, got 0\n")
+    # attack enforces the shift-set count's 1..n-1 rule; complexity clamps
+    # l_max above n - 1, so it refuses only below 1
+    for argv, line in ((("attack", str(target), "--l-max", "0"), "l_max must be in 1..9, got 0"),
+                       (("complexity", "--n", "10", "--l-max", "0"), "l_max must be >= 1, got 0")):
+        assert run_cli(capsys, *argv) == (3, "", f"error: {line}\n")
 
 
 # --- reproduce ------------------------------------------------------------------------

@@ -174,9 +174,10 @@ def test_bps_matches_oracle_with_each_shift_rule(n, oracle_prime_set):
 def test_bps_errors():
     with pytest.raises(ValueError):
         binary_primes_sequence(10, (0, 10))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^length must be >= 2, got 1$"):
         binary_primes_sequence(1, (0,))
-    with pytest.raises(ValueError):
+    # the length rule d_sequence and select_shifts share, not the sieve's wording
+    with pytest.raises(ValueError, match="^length 16777217 exceeds supported maximum 16777216$"):
         binary_primes_sequence((1 << 24) + 1, (0,))
 
 
@@ -267,7 +268,7 @@ def test_select_shifts_uniform_random_deterministic():
 
 
 def test_select_shifts_bounds():
-    with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+    with pytest.raises(ValueError, match="^length must be >= 2, got 1$"):
         select_shifts(1)
     # n past the sieve cap is refused before random.sample, which would
     # raise OverflowError on a range this long
