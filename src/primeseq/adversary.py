@@ -8,7 +8,7 @@ truth at small N. ``estimate_search_space`` returns all three as the
 JSON-ready dict that ``primeseq complexity`` prints. The toy attack decides
 every (prime, shift set) pair the count names, but B(k) is linear in the
 shift set and its rows are triangular, so each candidate prime is decided by
-at most l_max row XORs.
+at most l_max row XORs, the caller's l_max being the peel's only cap.
 """
 from __future__ import annotations
 
@@ -20,11 +20,11 @@ from itertools import count, islice
 from .primes import count_primes, is_prime, pnt_estimate
 from .sequences import BitSequence, binary_primes_sequence, d_sequence
 
-# Attack caps. At n = 24, l_max = 3 the attack peels 9 candidates: about
-# 0.06 ms in brute_force_attack and 1.3 ms for an in-process CLI `attack` on a
-# 2-vCPU Xeon.
+# The attack's one size cap. The peel costs at most pi(n) * l_max row XORs:
+# at n = 24, l_max = 23 decides all 9 * (2^23 - 1) hypotheses in about 0.1 ms
+# on a 2-vCPU Xeon.
 ATTACK_MAX_LENGTH = 24
-ATTACK_MAX_ADDED_SHIFTS = 3
+DEFAULT_L_MAX = 3  # complexity's l_max when none is given
 # Largest n the closed-form figures take: they divide n^2 and n by floats, so
 # n^2 must convert to a double, which fails from just below n = 2^512.
 _FORMULA_MAX_N = math.isqrt(int(sys.float_info.max))
@@ -89,17 +89,17 @@ def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
     candidate D-sequence; matching is bit exact. Each candidate q is decided by
     peeling its residual observed ^ d(q) ^ b, with b the unshifted indicator
     row: its first one at position p can only come from added shift p - 2, so
-    that row is XORed out, at most l_max times. hypotheses_tested counts the
-    pairs decided, the candidate count times the sets of 1..l_max added
-    shifts. Output is ordered by q then by shifts. The size caps, then the
-    (n, l_max) domain, are checked before the one sieve, to n.
+    that row is XORed out, at most l_max times, the peel's only cap.
+    hypotheses_tested counts the pairs decided, the candidate count times the
+    sets of 1..l_max added shifts. Output is ordered by q then by shifts. Near
+    l_max = n - 1 every candidate whose residual is 0 at positions 1-2, which
+    no added row reaches, is consistent (2.0 of 9 on average over 200 random
+    24-bit observations at l_max = 23), so consistent is not recovered. The n
+    cap, then the (n, l_max) domain, are checked before the one sieve, to n.
     """
     n = observed.length
-    if n > ATTACK_MAX_LENGTH or l_max > ATTACK_MAX_ADDED_SHIFTS:
-        raise ValueError(
-            f"instance too large: enforced bounds are n <= {ATTACK_MAX_LENGTH} "
-            f"and l_max <= {ATTACK_MAX_ADDED_SHIFTS}, got n={n}, l_max={l_max}"
-        )
+    if n > ATTACK_MAX_LENGTH:
+        raise ValueError(f"instance too large: enforced bound is n <= {ATTACK_MAX_LENGTH}, got n={n}")
     set_sizes = _shift_set_sizes(n, l_max)
 
     # indicator row over positions 1..n; added shift a contributes base >> a,
@@ -127,7 +127,7 @@ def brute_force_attack(observed: BitSequence, l_max: int) -> AttackResult:
     return AttackResult(tuple(matches), len(candidates) * sum(set_sizes))
 
 
-def estimate_search_space(n: int, l_max: int = ATTACK_MAX_ADDED_SHIFTS) -> dict[str, object]:
+def estimate_search_space(n: int, l_max: int = DEFAULT_L_MAX) -> dict[str, object]:
     """Both log-domain figures plus the exact count where tractable, as a JSON-ready dict.
 
     The "exact_count" key is present only for n small enough that the toy

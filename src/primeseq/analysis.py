@@ -43,9 +43,6 @@ class CorrelationConvention(namedtuple("CorrelationConvention", "mapping normali
             )
         return super().__new__(cls, mapping, normalization)
 
-    def as_dict(self) -> dict[str, str]:
-        return {"mapping": self.mapping, "normalization": self.normalization}
-
 
 DEFAULT_CONVENTION = CorrelationConvention()
 
@@ -83,7 +80,7 @@ class AnalysisReport(namedtuple(
             "max_offpeak": self.max_offpeak,
             "mean_offpeak": self.mean_offpeak,
             "ones_fraction": self.ones_fraction,
-            "convention": self.correlation.convention.as_dict(),
+            "convention": self.correlation.convention._asdict(),
             "sequence_label": self.sequence_label,
         }
 

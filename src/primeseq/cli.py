@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .adversary import ATTACK_MAX_ADDED_SHIFTS, brute_force_attack, estimate_search_space
+from .adversary import DEFAULT_L_MAX, brute_force_attack, estimate_search_space
 from .analysis import DEFAULT_CONVENTION, MAPPINGS, NORMALIZATIONS, CorrelationConvention, analyze
 from .reproduce import TARGET_IDS, make_target, run_target, write_correlation_csv
 from .sequences import (
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cx = sub.add_parser("complexity", help="attacker search-space figures")
     p_cx.add_argument("--n", type=int, required=True)
-    p_cx.add_argument("--l-max", type=int, default=ATTACK_MAX_ADDED_SHIFTS, dest="l_max")
+    p_cx.add_argument("--l-max", type=int, default=DEFAULT_L_MAX, dest="l_max")
     p_cx.set_defaults(func=_cmd_complexity)
 
     p_at = sub.add_parser("attack", help="toy brute-force key search on a short sequence")

@@ -168,7 +168,7 @@ def _run_fig2(path: Path) -> dict[str, object]:
         max_off, mean_off = off_peak_stats(autocorrelation(seq, conv))
         records.append(
             {
-                **conv.as_dict(),
+                **conv._asdict(),
                 "max_offpeak": max_off,
                 "mean_offpeak": mean_off,
                 "max_delta_to_reference": abs(max_off - REFERENCE_OFFPEAK_997),
@@ -178,7 +178,7 @@ def _run_fig2(path: Path) -> dict[str, object]:
     return {
         "n": n,
         "shifts": list(FIG2_SHIFTS),
-        "convention": DEFAULT_CONVENTION.as_dict(),
+        "convention": DEFAULT_CONVENTION._asdict(),
         "reference_offpeak": REFERENCE_OFFPEAK_997,
         "offpeak_by_convention": records,
     }
@@ -199,7 +199,7 @@ def _run_fig3(path: Path) -> dict[str, object]:
         r = randomness_measure(autocorrelation(seq199, conv))
         records.append(
             {
-                **conv.as_dict(),
+                **conv._asdict(),
                 "randomness": r,
                 "delta_to_reference": abs(r - REFERENCE_RANDOMNESS_199),
                 "within_tolerance": abs(r - REFERENCE_RANDOMNESS_199) <= RANDOMNESS_TOLERANCE,
@@ -226,7 +226,7 @@ def _run_hardened_fig(path: Path, q: int, shifts: tuple[int, ...]) -> dict[str, 
     return {
         "q": q,
         "shifts": list(shifts),
-        "convention": DEFAULT_CONVENTION.as_dict(),
+        "convention": DEFAULT_CONVENTION._asdict(),
         "mean_offpeak_hardened": mean_p,
         "mean_offpeak_dseq": mean_d,
         "max_offpeak_hardened": max_p,

@@ -15,6 +15,12 @@ with the fig4/fig5 off-peak figures checked against the oracles. The mean
 off-peak is not lowered in general (at q = 199 it rises from 0.0435 to 0.0585,
 and it falls at fewer than half of the fig6 primes), so the means are
 reported, not asserted.
+
+Criterion 11 checks the leak a prefix decoder uses. No added shift row
+reaches positions 1..a1+1, a1 the smallest added shift, so there the
+hardened keystream XOR the unshifted indicator row is the D-sequence, whose
+first m bits are floor(2^m/q). Once m is about 2 log2 q those bits leave q
+the only integer in (2^m/(v+1), 2^m/v].
 """
 from __future__ import annotations
 
@@ -38,6 +44,7 @@ from primeseq import (
     pnt_estimate,
     randomness_measure,
     search_space_log10_paper,
+    select_shifts,
 )
 from primeseq.reproduce import make_target, run_target
 from conftest import (
@@ -275,3 +282,19 @@ def test_c10_complexity_figures():
             exact = d * d / (2 * ln_n) * ((d / ln_n) * ln_n).exp()
             # six significant digits of the linear value = 2.2e-7 in log10
             assert abs(search_space_log10_paper(n) - float(exact.log10())) <= 2.2e-7
+
+
+def test_c11_hardened_prefix_pins_q():
+    with criterion("11", "the first a1+1 bits of a hardened keystream are floor(2^m/q) and pin q", 5.0):
+        for n, pin_at_n in ((10007, 27), (100003, 33)):
+            base = binary_primes_sequence(n, (0,)).value
+            for shifts in (select_shifts(n), *(select_shifts(n, seed) for seed in (1, 2, 3))):
+                a1 = shifts[1]
+                for q, pin in ((n, pin_at_n), (10**9 + 7, 60)):
+                    observed = harden(d_sequence(q, n), binary_primes_sequence(n, shifts))
+                    x = observed.value ^ base
+                    assert pin <= a1 + 1, (n, shifts[:3])
+                    assert x >> (n - a1 - 1) == (1 << (a1 + 1)) // q, (n, q, a1)
+                    v = x >> (n - pin)
+                    # the least integer above 2^m/(v+1) and the greatest at most 2^m/v
+                    assert (1 << pin) // (v + 1) + 1 == q == (1 << pin) // v, (n, q, pin)

@@ -187,11 +187,14 @@ def test_attack_output_ordering():
 
 def test_attack_instance_too_large():
     observed = seq_of((0,) * 30)
-    with pytest.raises(ValueError, match="n <= 24"):
+    with pytest.raises(ValueError, match=r"^instance too large: enforced bound is n <= 24, got n=30$"):
         brute_force_attack(observed, 1)
-    small = seq_of((0,) * 10)
-    with pytest.raises(ValueError, match="l_max <= 3"):
-        brute_force_attack(small, 4)
+    # n is the only size cap: l_max is bounded by the 1..n-1 domain alone
+    bits = (0,) * 10
+    small = seq_of(bits)
+    assert brute_force_attack(small, 4).as_dict() == oracle_brute_force(bits, 4)
+    with pytest.raises(ValueError, match=r"^l_max must be in 1\.\.9, got 10$"):
+        brute_force_attack(small, 10)
 
 
 def test_attack_result_dict_shape():
@@ -223,7 +226,9 @@ def test_attack_recovers_key_on_last_candidate_modulus():
 @settings(max_examples=60, deadline=None)
 def test_attack_matches_oracle(data):
     n = data.draw(st.integers(min_value=3, max_value=14), label="n")
-    l_max = data.draw(st.integers(min_value=1, max_value=min(3, n - 1)), label="l_max")
+    # every l_max while the oracle's pi(n) * (2^(n-1) - 1) hypotheses stay cheap
+    top = n - 1 if n <= 10 else 3
+    l_max = data.draw(st.integers(min_value=1, max_value=top), label="l_max")
     if data.draw(st.booleans(), label="planted"):
         q = data.draw(st.sampled_from(oracle_attack_moduli(n)), label="q")
         added = data.draw(
@@ -243,14 +248,22 @@ def test_attack_matches_oracle(data):
     # shift 23 = n-1 moves every prime out of the window, so the planted set
     # and the same set without 23 both regenerate the observation
     (oracle_planted_bits(29, (0, 3, 7, 23), 24), (29, [0, 3, 7, 23])),
-], ids=["planted", "all-zero", "shift-n-1"])
+    # four added shifts: beyond l_max = 3, found from l_max = 4 on
+    (oracle_planted_bits(61, (0, 3, 9, 17, 20), 24), (61, [0, 3, 9, 17, 20])),
+], ids=["planted", "all-zero", "shift-n-1", "four-shifts"])
 def test_attack_matches_oracle_at_caps(bits, planted):
     expected = oracle_brute_force(bits, 3)
     assert brute_force_attack(seq_of(bits), 3).as_dict() == expected
     assert expected["hypotheses_tested"] == exact_hypothesis_count(24, 3)
+    assert exact_hypothesis_count(24, 23) == 9 * (2**23 - 1) == 75497463
     if planted is not None:
         q, shifts = planted
-        assert {"q": q, "shifts": shifts, "matched": True} in expected["consistent_hypotheses"]
+        found = {"q": q, "shifts": shifts, "matched": True} in expected["consistent_hypotheses"]
+        assert found == (len(shifts) - 1 <= 3)
+        for l_max in (4, 23):
+            result = brute_force_attack(seq_of(bits), l_max)
+            assert (q, tuple(shifts)) in result.consistent_hypotheses
+            assert result.hypotheses_tested == exact_hypothesis_count(24, l_max)
     if planted == (29, [0, 3, 7, 23]):
         assert {"q": 29, "shifts": [0, 3, 7], "matched": True} in expected["consistent_hypotheses"]
 
@@ -258,7 +271,7 @@ def test_attack_matches_oracle_at_caps(bits, planted):
 def test_attack_counts_every_hypothesis_at_every_accepted_size():
     for n in range(3, ATTACK_MAX_LENGTH + 1):
         observed = seq_of((0,) * n)
-        for l_max in range(1, min(3, n - 1) + 1):
+        for l_max in range(1, n):
             tested = brute_force_attack(observed, l_max).hypotheses_tested
             assert tested == exact_hypothesis_count(n, l_max), (n, l_max)
 
